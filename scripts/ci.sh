@@ -29,10 +29,18 @@
 #      submit over TCP, SIGTERM drain, then verify the drain summary's
 #      journal fingerprint against an offline `--recover-check` replay;
 #      finally a TSan build/run of the multi-client server test.
+#
+# A gate that cannot run on this host (no clang++, no clang-tidy) skips
+# instead of failing.  Every skip is collected and printed as the last
+# section of a passing run, so a green result says what it did not check.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
+SKIPPED=()
+
+SMOKE_DIR=$(mktemp -d /tmp/sda_ci.XXXXXX)
+trap 'rm -f "$SMOKE_DIR"/*; rmdir "$SMOKE_DIR"' EXIT
 
 echo "=== [1/8] configure + build ==="
 cmake -B "$BUILD" -S . > /dev/null
@@ -40,23 +48,32 @@ cmake --build "$BUILD" -j "$(nproc)"
 
 echo ""
 echo "=== [2/8] ctest ==="
-ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
+ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)" \
+  | tee "$SMOKE_DIR/ctest.log"
+# ctest tests that exit with their SKIP_RETURN_CODE (e.g. thread_safety_gate).
+while read -r name; do
+  SKIPPED+=("ctest $name")
+done < <(sed -n 's/.*Test *#[0-9]*: \([^ ]*\) .*\*\*\*Skipped.*/\1/p' \
+           "$SMOKE_DIR/ctest.log")
 
 echo ""
 echo "=== [3/8] static analysis ==="
 scripts/check_static.sh "$BUILD"
+if ! command -v clang-tidy >/dev/null 2>&1; then
+  SKIPPED+=("clang-tidy (check_static.sh): clang-tidy not installed")
+fi
 
 echo ""
 echo "=== [4/8] thread-safety analysis ==="
 rc=0; scripts/check_thread_safety.sh || rc=$?
-if [ "$rc" -ne 0 ] && [ "$rc" -ne 77 ]; then
+if [ "$rc" -eq 77 ]; then
+  SKIPPED+=("thread-safety analysis (check_thread_safety.sh): no clang++")
+elif [ "$rc" -ne 0 ]; then
   exit "$rc"
 fi
 
 echo ""
 echo "=== [5/8] sda_run smoke + schema check ==="
-SMOKE_DIR=$(mktemp -d /tmp/sda_ci.XXXXXX)
-trap 'rm -f "$SMOKE_DIR"/*; rmdir "$SMOKE_DIR"' EXIT
 
 "$BUILD/tools/sda_run" sim_time=5000 reps=2 \
   --json "$SMOKE_DIR/out.jsonl" --trace "$SMOKE_DIR/run.trace.json" \
@@ -291,4 +308,10 @@ cmake --build build-tsan --target test_net -j "$(nproc)"
 ctest --test-dir build-tsan -R test_net --output-on-failure
 
 echo ""
-echo "CI gate passed."
+echo "=== skipped gates ==="
+if [ "${#SKIPPED[@]}" -eq 0 ]; then
+  echo "none"
+else
+  printf '  %s\n' "${SKIPPED[@]}"
+fi
+echo "CI gate passed (${#SKIPPED[@]} gate(s) skipped)."

@@ -90,12 +90,12 @@ struct GlobalTaskRecord {
   bool shed = false;      ///< dropped by the recovery policy (subset of aborted)
 };
 
-/// The process manager's window onto the execution nodes.  The serial
-/// runner uses DirectNodePort — synchronous calls into sched::Node,
-/// exactly the original single-engine behavior.  The sharded runner
-/// (exp/runner_sharded) substitutes a port that clones the task and
-/// ships each call as a cross-lane fabric message, so the PM never
-/// touches node-owned state from another shard.
+/// The process manager's window onto the execution nodes.  The runner's
+/// direct wiring uses DirectNodePort — synchronous calls into
+/// sched::Node on one engine.  Its fabric wiring (exp/runner.cpp)
+/// substitutes a port that clones the task and ships each call as a
+/// cross-lane fabric message, so the PM never touches node-owned state
+/// from another shard.
 class NodePort {
  public:
   virtual ~NodePort() = default;
@@ -126,7 +126,8 @@ class DirectNodePort final : public NodePort {
 };
 
 /// Terminal node-side outcome of a subtask, reported back to the process
-/// manager by the sharded runner as a value snapshot (see handle_remote).
+/// manager by the runner's fabric wiring as a value snapshot (see
+/// handle_remote).
 enum class RemoteSubtaskEvent {
   kCompleted,
   kLocalAbort,
@@ -165,15 +166,15 @@ class ProcessManager {
   using SubmitObserver =
       util::UniqueFn<void(std::uint64_t run_id, sim::Time deadline)>;
 
-  /// @p nodes is indexed by TreeNode::exec_node; the runner wires each
+  /// @p nodes is indexed by TreeNode::exec_node; the caller wires each
   /// node's completion/abort handlers to handle_completion /
   /// handle_local_abort for subtask-kind tasks.  Wraps the nodes in an
-  /// owned DirectNodePort (the serial path).
+  /// owned DirectNodePort (one engine, synchronous calls).
   ProcessManager(sim::Engine& engine, std::vector<sched::Node*> nodes,
                  Config config);
 
   /// Port-based constructor: all node interaction goes through @p port
-  /// (which must outlive the manager).  Used by the sharded runner.
+  /// (which must outlive the manager).  Used by both runner wirings.
   ProcessManager(sim::Engine& engine, NodePort& port, Config config);
 
   ProcessManager(const ProcessManager&) = delete;

@@ -199,10 +199,9 @@ struct ExperimentConfig {
   /// compare fingerprints only across equal net_latency.
   double net_latency = 0.0;
   /// Timer-queue backend for every simulation engine (serial and per-shard):
-  /// "heap" (pooled 4-ary heap, the default), "wheel" (hierarchical timing
-  /// wheel), or any name registered via sim::register_timer_queue.  Backends
-  /// share pop order and event-id allocation, so run fingerprints are
-  /// bit-identical across them; this key trades only constant factors.
+  /// "heap" (pooled 4-ary heap, the default) or any name registered via
+  /// sim::register_timer_queue.  Backends share pop order and event-id
+  /// allocation, so run fingerprints are bit-identical across them.
   std::string timer_queue = "heap";
 
   // --- run control ----------------------------------------------------------

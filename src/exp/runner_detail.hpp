@@ -1,14 +1,12 @@
-// Shared plumbing between the serial runner (runner.cpp) and the sharded
-// PDES runner (runner_sharded.cpp).  Both build the same system from the
-// same ExperimentConfig with the same RNG split order; keeping the
-// id-space and trace-event maps in one place is what keeps their
-// fingerprints comparable.
+// Pieces of the replication assembly (runner.cpp) that other assemblies of
+// the same system must share to produce comparable fingerprints: the
+// task-id space, the node-event -> trace-event map, and the rule that
+// picks the direct or the fabric wiring.
 #pragma once
 
 #include <cstdint>
 
 #include "src/exp/config.hpp"
-#include "src/exp/runner.hpp"
 #include "src/metrics/trace.hpp"
 #include "src/sched/node.hpp"
 
@@ -34,15 +32,10 @@ inline metrics::TraceEvent to_trace_event(sched::Node::Event e) {
 
 /// True when the run must go through the message fabric: more than one
 /// shard, or a modeled control-plane latency (which changes delivery
-/// times even on a single shard).  shards == 1 && net_latency == 0 keeps
-/// the original synchronous single-engine path, byte for byte.
+/// times even on a single shard).  shards == 1 && net_latency == 0 runs
+/// the direct wiring: one engine, synchronous calls.
 inline bool message_mode(const ExperimentConfig& c) noexcept {
   return c.shards > 1 || c.net_latency > 0.0;
 }
-
-/// One replication on the conservative time-window fabric (DESIGN.md §4c).
-/// Same contract as run_once; the config has already been validated.
-RunResult run_once_sharded(const ExperimentConfig& config, std::uint64_t seed,
-                           metrics::Tracer* tracer);
 
 }  // namespace sda::exp::detail

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "src/sim/event_queue.hpp"
-#include "src/sim/timer_wheel.hpp"
 
 namespace sda::sim {
 
@@ -36,11 +35,6 @@ BackendRegistry& timer_queue_registry() {
             return std::make_unique<EventQueue>();
           },
           util::NameMatch::kExact, "heap");
-    r.add("wheel",
-          [](const std::string&) -> std::unique_ptr<TimerQueue> {
-            return std::make_unique<TimerWheel>();
-          },
-          util::NameMatch::kExact, "wheel");
     return r;
   }();
   return reg;

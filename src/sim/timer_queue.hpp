@@ -1,20 +1,15 @@
 // Pluggable timer-queue backends for the discrete-event engine.
 //
 // sim::TimerQueue is the interface the Engine schedules against: push a
-// callback at an absolute time, cancel by handle, pop the earliest.  Two
-// backends ship with the simulator —
-//
-//   "heap"  — the pooled 4-ary min-heap (sim::EventQueue), O(log n)
-//             push/pop, the default;
-//   "wheel" — a hierarchical timing wheel / calendar queue
-//             (sim::TimerWheel), amortized O(1) push for the heavy-traffic
-//             regime where queue populations explode and O(log n) pops
-//             start to dominate.
+// callback at an absolute time, cancel by handle, pop the earliest.  One
+// backend ships with the simulator: "heap", the pooled 4-ary min-heap
+// (sim::EventQueue), O(log n) push/pop.
 //
 // Backends are constructed by name through a self-registering registry
 // (util::Registry — the same pattern as the strategy registries), so the
-// `timer_queue=` ExperimentConfig key reaches user-registered backends
-// without touching library code.
+// `timer_queue=` ExperimentConfig key reaches user-registered backends —
+// such as a decorator that times the heap — without touching library
+// code.
 //
 // Determinism contract: every backend must pop events in exactly
 // (time, insertion-sequence) order and must allocate slots through the
@@ -22,7 +17,7 @@
 // produce identical EventId values and identical slot indices — which is
 // why run fingerprints are bit-identical across backends, and why the
 // sharded fabric's slot-keyed side tables (sim::Fabric) work unchanged
-// with either.
+// with any of them.
 #pragma once
 
 #include <cstdint>
@@ -254,7 +249,7 @@ class TimerQueue {
   /// structured dump on any violation (see core/invariants.hpp).
   virtual void validate() const = 0;
 
-  /// Registry spelling of this backend ("heap", "wheel", ...).
+  /// Registry spelling of this backend ("heap", ...).
   virtual const char* backend_name() const noexcept = 0;
 
   /// Removes and returns the earliest live event as (time, callback).
@@ -292,7 +287,7 @@ void register_timer_queue(const std::string& name, TimerQueueFactory factory,
 /// Display names of every registered backend, in registration order.
 std::vector<std::string> list_timer_queue_names();
 
-/// Factory: "heap", "wheel", plus anything registered (case-insensitive).
+/// Factory: "heap" plus anything registered (case-insensitive).
 /// Throws std::invalid_argument on unknown names, listing the registered
 /// backends and suggesting near-misses.
 std::unique_ptr<TimerQueue> make_timer_queue(const std::string& name);

@@ -95,7 +95,7 @@ TEST(ConfigKv, RoundTripEveryFieldNonDefault) {
   c.global_burst_cycle = 99.0;
   c.shards = 3;
   c.net_latency = 0.25;
-  c.timer_queue = "wheel";
+  c.timer_queue = "Heap";  // off the default spelling, still registered
   c.sim_time = 12345.6789;
   c.warmup_fraction = 0.1;
   c.replications = 7;

@@ -1,4 +1,4 @@
-// Conservative time-window PDES (src/sim/fabric.*, exp/runner_sharded):
+// Conservative time-window PDES (src/sim/fabric.*, exp/runner's fabric wiring):
 // the tentpole contract is that one replication's determinism fingerprint
 // is bit-identical at every shard count — shards=1 (the original serial
 // engine) and shards in {2, 4, 8} (the message fabric) must produce the
