@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the simulation substrate: event
 // queue, engine dispatch, EDF queue operations, strategy evaluation, the
-// recursive SDA walk, and a whole-system replication.  These bound the cost
-// of regenerating the paper's figures and catch substrate regressions.
+// recursive SDA walk, the trace fingerprint, and a whole-system
+// replication.  These bound the cost of regenerating the paper's figures
+// and catch substrate regressions.
 #include <benchmark/benchmark.h>
 
 #include <arpa/inet.h>
@@ -14,6 +15,7 @@
 #include <cstring>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "src/core/admission.hpp"
 #include "src/exp/net.hpp"
@@ -24,6 +26,7 @@
 #include "src/core/strategy.hpp"
 #include "src/exp/config.hpp"
 #include "src/exp/runner.hpp"
+#include "src/metrics/trace.hpp"
 #include "src/sched/edf.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/fabric.hpp"
@@ -424,9 +427,40 @@ void BM_WholeReplication(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(exp::run_once(c, 42));
   }
-  state.SetLabel("5000 simulated time units, baseline system");
+  // run_once without a tracer: the Tracer(1) every sda_run replication
+  // carries is not in this number (BM_TracerAdd prices it).
+  state.SetLabel("5000 simulated time units, baseline system, no tracer");
 }
 BENCHMARK(BM_WholeReplication);
+
+// Tracer::add over a replication-like record stream: monotone times, the
+// lifecycle events a node emits, a k=6 node spread and virtual deadlines.
+// Arg 1 is the fingerprint-only Tracer(1) every sda_run replication
+// carries; Arg 0 the unbounded ring behind sda_run --trace (a fresh
+// tracer per iteration, so the ring's growth is part of the cost).
+void BM_TracerAdd(benchmark::State& state) {
+  constexpr int kRecords = 1 << 16;
+  util::Rng rng(5);
+  std::vector<metrics::TraceRecord> stream;
+  stream.reserve(kRecords);
+  double now = 0.0;
+  for (int i = 0; i < kRecords; ++i) {
+    now += rng.exponential(0.05);
+    const auto id = static_cast<std::uint64_t>(i / 3 + 1);
+    stream.push_back(metrics::TraceRecord{
+        now, static_cast<metrics::TraceEvent>(rng.uniform_int(0, 4)), id,
+        id % 5 == 0 ? id / 5 : 0, static_cast<int>(rng.uniform_int(0, 5)),
+        now + rng.uniform(1.0, 10.0)});
+  }
+  const auto capacity = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    metrics::Tracer tracer(capacity);
+    for (const metrics::TraceRecord& rec : stream) tracer.add(rec);
+    benchmark::DoNotOptimize(tracer.fingerprint());
+  }
+  state.SetItemsProcessed(state.iterations() * kRecords);
+}
+BENCHMARK(BM_TracerAdd)->Arg(1)->Arg(0);
 
 // One large replication on the time-window fabric at 1/2/4/8 shards.  A
 // scale-out scenario (DESIGN.md §4c): many nodes, almost-all-local work

@@ -1,6 +1,5 @@
 #include "src/metrics/trace.hpp"
 
-#include <cstring>
 #include <sstream>
 
 namespace sda::metrics {
@@ -21,34 +20,22 @@ const char* to_string(TraceEvent e) noexcept {
   return "?";
 }
 
-namespace {
-void fnv_mix(std::uint64_t& h, const void* data, std::size_t len) noexcept {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001b3ULL;  // FNV prime
-  }
-}
-}  // namespace
+void Tracer::append(const TraceRecord& rec) { ring_.push_back(rec); }
 
-void Tracer::add(const TraceRecord& rec) {
-  ++total_;
-  fnv_mix(hash_, &rec.time, sizeof rec.time);
-  const auto ev = static_cast<std::uint8_t>(rec.event);
-  fnv_mix(hash_, &ev, sizeof ev);
-  fnv_mix(hash_, &rec.task_id, sizeof rec.task_id);
-  fnv_mix(hash_, &rec.run_id, sizeof rec.run_id);
-  fnv_mix(hash_, &rec.node, sizeof rec.node);
-  fnv_mix(hash_, &rec.deadline, sizeof rec.deadline);
-  records_.push_back(rec);
-  if (capacity_ != 0 && records_.size() > capacity_) records_.pop_front();
+std::vector<TraceRecord> Tracer::records() const {
+  std::vector<TraceRecord> out;
+  out.reserve(ring_.size());
+  const auto head = ring_.begin() + static_cast<std::ptrdiff_t>(head_);
+  out.insert(out.end(), head, ring_.end());
+  out.insert(out.end(), ring_.begin(), head);
+  return out;
 }
 
 std::string Tracer::render() const {
   std::ostringstream os;
   os.setf(std::ios::fixed);
   os.precision(4);
-  for (const TraceRecord& r : records_) {
+  for (const TraceRecord& r : records()) {
     os << r.time << ' ' << to_string(r.event);
     if (r.task_id != 0) os << " task=" << r.task_id;
     if (r.run_id != 0) os << " run=" << r.run_id;
@@ -59,9 +46,10 @@ std::string Tracer::render() const {
 }
 
 void Tracer::clear() {
-  records_.clear();
+  ring_.clear();
+  head_ = 0;
   total_ = 0;
-  hash_ = 0xcbf29ce484222325ULL;
+  hash_ = util::kFnvOffsetBasis;
 }
 
 }  // namespace sda::metrics

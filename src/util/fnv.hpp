@@ -1,7 +1,12 @@
-// FNV-1a 64-bit hashing, shared by the state fingerprints and the
-// journal record checksums.  Same constants as metrics::Tracer's event
-// fingerprint, exposed as free functions so non-trace state (admission
-// ledgers, journal payloads) can hash without owning a Tracer.
+// FNV-1a 64-bit hashing: the one home of the FNV constants and mixing
+// steps.  Two variants share them:
+//   * byte-wise (fnv1a_mix, fnv1a_mix_value, fnv1a): classic FNV-1a, one
+//     xor+multiply per byte.  The admission state fingerprint and the
+//     journal record checksums use it; their values are pinned on disk
+//     and in tests, so it must stay bit-identical.
+//   * word-wise (fnv1a_mix_word): one xor+multiply per 64-bit word.  The
+//     metrics::Tracer determinism fingerprint (v2) mixes each trace record
+//     as five words with it.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +26,14 @@ inline void fnv1a_mix(std::uint64_t& h, const void* data,
     h ^= bytes[i];
     h *= kFnvPrime;
   }
+}
+
+/// Mixes one 64-bit word into hash @p h in a single FNV-1a step: xor the
+/// whole word, then multiply once.  Not equivalent to fnv1a_mix over the
+/// word's eight bytes.
+inline constexpr void fnv1a_mix_word(std::uint64_t& h,
+                                     std::uint64_t w) noexcept {
+  h = (h ^ w) * kFnvPrime;
 }
 
 /// Mixes a trivially-copyable value's object representation into @p h.

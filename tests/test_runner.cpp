@@ -363,50 +363,50 @@ std::string format_row(const PinnedRow& r) {
 // completed, aborted, shed, resubmissions, local aborts, crashes,
 // transient failures, messages lost, fault retries, not admitted.
 const PinnedRow kPinned[] = {
-    {"ud", "ud", Variant::kGraph, 1, 0x1d37bf23d848e78cULL, 4086, 1733, 54, 47, 0, 0, 92, 275, 0, 0, 0, 0, 0},
-    {"ud", "ud", Variant::kGraph, 4, 0xdd61fd624171dd49ULL, 5365, 1733, 54, 47, 0, 0, 92, 268, 0, 0, 0, 0, 0},
-    {"ud", "ed", Variant::kGraph, 1, 0xb41c3d918000fb1eULL, 4073, 1733, 54, 48, 0, 0, 68, 247, 0, 0, 0, 0, 0},
-    {"ud", "ed", Variant::kGraph, 4, 0x98e8e57d39944109ULL, 5307, 1733, 54, 47, 0, 0, 72, 249, 0, 0, 0, 0, 0},
-    {"ud", "eqs", Variant::kGraph, 1, 0xf9f90d0559a167c1ULL, 4113, 1733, 54, 48, 0, 0, 107, 317, 0, 0, 0, 0, 0},
-    {"ud", "eqs", Variant::kGraph, 4, 0x59c68026639fededULL, 5435, 1733, 54, 48, 0, 0, 110, 312, 0, 0, 0, 0, 0},
-    {"ud", "eqf", Variant::kGraph, 1, 0xa0cb59968b55bafaULL, 4115, 1733, 54, 48, 0, 0, 107, 308, 0, 0, 0, 0, 0},
-    {"ud", "eqf", Variant::kGraph, 4, 0x5f7e4a506880574dULL, 5480, 1733, 54, 48, 0, 0, 127, 328, 0, 0, 0, 0, 0},
-    {"div-1", "ud", Variant::kGraph, 1, 0xcdc6e0fc653f3756ULL, 4131, 1733, 54, 48, 0, 0, 155, 359, 0, 0, 0, 0, 0},
-    {"div-1", "ud", Variant::kGraph, 4, 0xfbbfc63a6f91029bULL, 5550, 1733, 54, 48, 0, 0, 159, 360, 0, 0, 0, 0, 0},
-    {"div-1", "ed", Variant::kGraph, 1, 0x1dc103d763a7a35bULL, 4168, 1733, 54, 49, 0, 0, 189, 404, 0, 0, 0, 0, 0},
-    {"div-1", "ed", Variant::kGraph, 4, 0x07657b674f4bca8fULL, 5627, 1733, 54, 47, 0, 0, 182, 397, 0, 0, 0, 0, 0},
-    {"div-1", "eqs", Variant::kGraph, 1, 0x5c029ff0bf535a5bULL, 4278, 1733, 54, 48, 0, 0, 276, 505, 0, 0, 0, 0, 0},
-    {"div-1", "eqs", Variant::kGraph, 4, 0x64a6df06e8f5d8f9ULL, 5988, 1733, 54, 47, 0, 0, 287, 488, 0, 0, 0, 0, 0},
-    {"div-1", "eqf", Variant::kGraph, 1, 0xbac1841582db28c6ULL, 4258, 1733, 54, 47, 0, 0, 277, 516, 0, 0, 0, 0, 0},
-    {"div-1", "eqf", Variant::kGraph, 4, 0xf27f61cffdf78968ULL, 5987, 1733, 54, 47, 0, 0, 301, 535, 0, 0, 0, 0, 0},
-    {"div-4", "ud", Variant::kGraph, 1, 0x1bc1428fdf5c94afULL, 4297, 1733, 54, 48, 0, 0, 320, 533, 0, 0, 0, 0, 0},
-    {"div-4", "ud", Variant::kGraph, 4, 0xeff63143b7af4e16ULL, 6046, 1733, 54, 47, 0, 0, 321, 536, 0, 0, 0, 0, 0},
-    {"div-4", "ed", Variant::kGraph, 1, 0x8c9926304132a1f1ULL, 4300, 1733, 54, 48, 0, 0, 332, 533, 0, 0, 0, 0, 0},
-    {"div-4", "ed", Variant::kGraph, 4, 0x666ef21989752999ULL, 6088, 1733, 54, 47, 0, 0, 337, 543, 0, 0, 0, 0, 0},
-    {"div-4", "eqs", Variant::kGraph, 1, 0xa9987dd54612810cULL, 4385, 1733, 54, 48, 0, 0, 373, 554, 0, 0, 0, 0, 0},
-    {"div-4", "eqs", Variant::kGraph, 4, 0x5681c1bbac7f048eULL, 6298, 1733, 54, 48, 0, 0, 395, 574, 0, 0, 0, 0, 0},
-    {"div-4", "eqf", Variant::kGraph, 1, 0x540ac8684eda2e97ULL, 4398, 1733, 54, 47, 0, 0, 399, 590, 0, 0, 0, 0, 0},
-    {"div-4", "eqf", Variant::kGraph, 4, 0x0ad42b4e4878b0beULL, 6289, 1733, 54, 47, 0, 0, 397, 583, 0, 0, 0, 0, 0},
-    {"gf", "ud", Variant::kGraph, 1, 0x2dd4794d5beb4317ULL, 4048, 1733, 54, 48, 0, 0, 429, 607, 0, 0, 0, 0, 0},
-    {"gf", "ud", Variant::kGraph, 4, 0x2a49e7d9f1149b8bULL, 6016, 1733, 54, 47, 0, 0, 433, 613, 0, 0, 0, 0, 0},
-    {"gf", "ed", Variant::kGraph, 1, 0x33f9ec171a63e43dULL, 4050, 1733, 54, 48, 0, 0, 432, 613, 0, 0, 0, 0, 0},
-    {"gf", "ed", Variant::kGraph, 4, 0xd921cfe9b36ba578ULL, 6027, 1733, 54, 48, 0, 0, 435, 615, 0, 0, 0, 0, 0},
-    {"gf", "eqs", Variant::kGraph, 1, 0x54df73a48e02e932ULL, 4062, 1733, 54, 48, 0, 0, 437, 611, 0, 0, 0, 0, 0},
-    {"gf", "eqs", Variant::kGraph, 4, 0x12b011d72a4ef36cULL, 6078, 1733, 54, 48, 0, 0, 450, 624, 0, 0, 0, 0, 0},
-    {"gf", "eqf", Variant::kGraph, 1, 0xb63e05287594e102ULL, 4080, 1733, 54, 48, 0, 0, 454, 639, 0, 0, 0, 0, 0},
-    {"gf", "eqf", Variant::kGraph, 4, 0xcddb58c299194833ULL, 6064, 1733, 54, 47, 0, 0, 450, 631, 0, 0, 0, 0, 0},
-    {"ud", "ud", Variant::kParallel, 1, 0x4aa23ecca1ae914aULL, 4158, 1733, 134, 130, 0, 0, 51, 261, 0, 0, 0, 0, 0},
-    {"ud", "ud", Variant::kParallel, 4, 0xa520a8886d722de6ULL, 5320, 1733, 134, 130, 0, 0, 50, 254, 0, 0, 0, 0, 0},
-    {"div-1", "ud", Variant::kParallel, 1, 0xbd0fa0ed8ee4cdd1ULL, 4436, 1733, 134, 131, 0, 0, 326, 588, 0, 0, 0, 0, 0},
-    {"div-1", "ud", Variant::kParallel, 4, 0x6e51935aee84c75eULL, 6160, 1733, 134, 131, 0, 0, 328, 588, 0, 0, 0, 0, 0},
-    {"gf", "ud", Variant::kParallel, 1, 0xb1229bbc416c3e9eULL, 4110, 1733, 134, 132, 0, 0, 536, 727, 0, 0, 0, 0, 0},
-    {"gf", "ud", Variant::kParallel, 4, 0xb1229bbc416c3e9eULL, 6247, 1733, 134, 132, 0, 0, 536, 727, 0, 0, 0, 0, 0},
-    {"div-1", "eqf", Variant::kLinks, 1, 0x6f7d7df2b75827edULL, 4593, 1291, 51, 21, 27, 1, 236, 236, 0, 0, 5, 4, 0},
-    {"div-1", "eqf", Variant::kLinks, 4, 0x30b8faedd1e29c5fULL, 6300, 1291, 51, 21, 27, 1, 236, 241, 0, 0, 5, 4, 0},
-    {"gf", "ud", Variant::kFaults, 1, 0x4b8b7fe12dd000fdULL, 5582, 1733, 134, 67, 65, 2, 536, 536, 20, 24, 0, 34, 0},
-    {"gf", "ud", Variant::kFaults, 4, 0x4b8b7fe12dd000fdULL, 7789, 1733, 134, 67, 65, 2, 536, 536, 20, 24, 0, 34, 0},
-    {"div-1", "ud", Variant::kAdmission, 1, 0x74bdf6d45247aa36ULL, 5807, 2724, 216, 29, 0, 0, 50, 436, 0, 0, 0, 0, 187},
-    {"div-1", "ud", Variant::kAdmission, 4, 0xeb4fe09aee4f2248ULL, 6139, 2724, 216, 29, 0, 0, 50, 435, 0, 0, 0, 0, 187},
+    {"ud", "ud", Variant::kGraph, 1, 0x7a7a4d88f66dcfb9ULL, 4086, 1733, 54, 47, 0, 0, 92, 275, 0, 0, 0, 0, 0},
+    {"ud", "ud", Variant::kGraph, 4, 0xdf1553dc188ed0cfULL, 5365, 1733, 54, 47, 0, 0, 92, 268, 0, 0, 0, 0, 0},
+    {"ud", "ed", Variant::kGraph, 1, 0xa61f2cbcc4526f6cULL, 4073, 1733, 54, 48, 0, 0, 68, 247, 0, 0, 0, 0, 0},
+    {"ud", "ed", Variant::kGraph, 4, 0x07efbb6824e91effULL, 5307, 1733, 54, 47, 0, 0, 72, 249, 0, 0, 0, 0, 0},
+    {"ud", "eqs", Variant::kGraph, 1, 0x64c159549883467bULL, 4113, 1733, 54, 48, 0, 0, 107, 317, 0, 0, 0, 0, 0},
+    {"ud", "eqs", Variant::kGraph, 4, 0x159ce9996c56aaf4ULL, 5435, 1733, 54, 48, 0, 0, 110, 312, 0, 0, 0, 0, 0},
+    {"ud", "eqf", Variant::kGraph, 1, 0x15ecf74b349a10e3ULL, 4115, 1733, 54, 48, 0, 0, 107, 308, 0, 0, 0, 0, 0},
+    {"ud", "eqf", Variant::kGraph, 4, 0xc75c06295d2f226bULL, 5480, 1733, 54, 48, 0, 0, 127, 328, 0, 0, 0, 0, 0},
+    {"div-1", "ud", Variant::kGraph, 1, 0x35db9995e3df2f73ULL, 4131, 1733, 54, 48, 0, 0, 155, 359, 0, 0, 0, 0, 0},
+    {"div-1", "ud", Variant::kGraph, 4, 0x15124d16f8fc8ce5ULL, 5550, 1733, 54, 48, 0, 0, 159, 360, 0, 0, 0, 0, 0},
+    {"div-1", "ed", Variant::kGraph, 1, 0x05a9bca4bd7c1f2dULL, 4168, 1733, 54, 49, 0, 0, 189, 404, 0, 0, 0, 0, 0},
+    {"div-1", "ed", Variant::kGraph, 4, 0x546792da46467dfcULL, 5627, 1733, 54, 47, 0, 0, 182, 397, 0, 0, 0, 0, 0},
+    {"div-1", "eqs", Variant::kGraph, 1, 0xc27212b5c04ad778ULL, 4278, 1733, 54, 48, 0, 0, 276, 505, 0, 0, 0, 0, 0},
+    {"div-1", "eqs", Variant::kGraph, 4, 0x24b938926df61f74ULL, 5988, 1733, 54, 47, 0, 0, 287, 488, 0, 0, 0, 0, 0},
+    {"div-1", "eqf", Variant::kGraph, 1, 0xf88f4554617e09b4ULL, 4258, 1733, 54, 47, 0, 0, 277, 516, 0, 0, 0, 0, 0},
+    {"div-1", "eqf", Variant::kGraph, 4, 0x18e7b9819dabbf3eULL, 5987, 1733, 54, 47, 0, 0, 301, 535, 0, 0, 0, 0, 0},
+    {"div-4", "ud", Variant::kGraph, 1, 0x3422e0d4885c5772ULL, 4297, 1733, 54, 48, 0, 0, 320, 533, 0, 0, 0, 0, 0},
+    {"div-4", "ud", Variant::kGraph, 4, 0x0ca1e7b13c4d8be3ULL, 6046, 1733, 54, 47, 0, 0, 321, 536, 0, 0, 0, 0, 0},
+    {"div-4", "ed", Variant::kGraph, 1, 0xe9e196dffd538388ULL, 4300, 1733, 54, 48, 0, 0, 332, 533, 0, 0, 0, 0, 0},
+    {"div-4", "ed", Variant::kGraph, 4, 0xe11703457683573dULL, 6088, 1733, 54, 47, 0, 0, 337, 543, 0, 0, 0, 0, 0},
+    {"div-4", "eqs", Variant::kGraph, 1, 0x0ea4c87968b2bd43ULL, 4385, 1733, 54, 48, 0, 0, 373, 554, 0, 0, 0, 0, 0},
+    {"div-4", "eqs", Variant::kGraph, 4, 0x979307606ff1b493ULL, 6298, 1733, 54, 48, 0, 0, 395, 574, 0, 0, 0, 0, 0},
+    {"div-4", "eqf", Variant::kGraph, 1, 0x6c76dc8610e6b84bULL, 4398, 1733, 54, 47, 0, 0, 399, 590, 0, 0, 0, 0, 0},
+    {"div-4", "eqf", Variant::kGraph, 4, 0x17ac69c7ecaf42edULL, 6289, 1733, 54, 47, 0, 0, 397, 583, 0, 0, 0, 0, 0},
+    {"gf", "ud", Variant::kGraph, 1, 0x2a29ebbd4094c203ULL, 4048, 1733, 54, 48, 0, 0, 429, 607, 0, 0, 0, 0, 0},
+    {"gf", "ud", Variant::kGraph, 4, 0x409a411bd2a088c1ULL, 6016, 1733, 54, 47, 0, 0, 433, 613, 0, 0, 0, 0, 0},
+    {"gf", "ed", Variant::kGraph, 1, 0x475c332aa6f26c52ULL, 4050, 1733, 54, 48, 0, 0, 432, 613, 0, 0, 0, 0, 0},
+    {"gf", "ed", Variant::kGraph, 4, 0xd85bee13b241efc2ULL, 6027, 1733, 54, 48, 0, 0, 435, 615, 0, 0, 0, 0, 0},
+    {"gf", "eqs", Variant::kGraph, 1, 0x03f7a1244eb614c5ULL, 4062, 1733, 54, 48, 0, 0, 437, 611, 0, 0, 0, 0, 0},
+    {"gf", "eqs", Variant::kGraph, 4, 0x9674ad9c4b1b7af2ULL, 6078, 1733, 54, 48, 0, 0, 450, 624, 0, 0, 0, 0, 0},
+    {"gf", "eqf", Variant::kGraph, 1, 0x4999c872e0f13bccULL, 4080, 1733, 54, 48, 0, 0, 454, 639, 0, 0, 0, 0, 0},
+    {"gf", "eqf", Variant::kGraph, 4, 0xb7aa51c8c7ec2998ULL, 6064, 1733, 54, 47, 0, 0, 450, 631, 0, 0, 0, 0, 0},
+    {"ud", "ud", Variant::kParallel, 1, 0x868bcc19ad1a5d0cULL, 4158, 1733, 134, 130, 0, 0, 51, 261, 0, 0, 0, 0, 0},
+    {"ud", "ud", Variant::kParallel, 4, 0x5da28dcd7c55a35bULL, 5320, 1733, 134, 130, 0, 0, 50, 254, 0, 0, 0, 0, 0},
+    {"div-1", "ud", Variant::kParallel, 1, 0xcd9e8b95d5398b69ULL, 4436, 1733, 134, 131, 0, 0, 326, 588, 0, 0, 0, 0, 0},
+    {"div-1", "ud", Variant::kParallel, 4, 0x853e4536e8cf47e2ULL, 6160, 1733, 134, 131, 0, 0, 328, 588, 0, 0, 0, 0, 0},
+    {"gf", "ud", Variant::kParallel, 1, 0x8479ba276d68d0faULL, 4110, 1733, 134, 132, 0, 0, 536, 727, 0, 0, 0, 0, 0},
+    {"gf", "ud", Variant::kParallel, 4, 0x8479ba276d68d0faULL, 6247, 1733, 134, 132, 0, 0, 536, 727, 0, 0, 0, 0, 0},
+    {"div-1", "eqf", Variant::kLinks, 1, 0x9338a2a6af2b2b48ULL, 4593, 1291, 51, 21, 27, 1, 236, 236, 0, 0, 5, 4, 0},
+    {"div-1", "eqf", Variant::kLinks, 4, 0x2d1597d1904f4321ULL, 6300, 1291, 51, 21, 27, 1, 236, 241, 0, 0, 5, 4, 0},
+    {"gf", "ud", Variant::kFaults, 1, 0xad764d5b8d036813ULL, 5582, 1733, 134, 67, 65, 2, 536, 536, 20, 24, 0, 34, 0},
+    {"gf", "ud", Variant::kFaults, 4, 0xad764d5b8d036813ULL, 7789, 1733, 134, 67, 65, 2, 536, 536, 20, 24, 0, 34, 0},
+    {"div-1", "ud", Variant::kAdmission, 1, 0xacd57fcc608f20f1ULL, 5807, 2724, 216, 29, 0, 0, 50, 436, 0, 0, 0, 0, 187},
+    {"div-1", "ud", Variant::kAdmission, 4, 0xe2c23770cdbd3eebULL, 6139, 2724, 216, 29, 0, 0, 50, 435, 0, 0, 0, 0, 187},
 };
 
 TEST(RunnerPinned, FingerprintsAndCountsSerialAndSharded) {
