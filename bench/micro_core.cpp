@@ -322,7 +322,7 @@ void BM_ServeSocket(benchmark::State& state) {
   // End-to-end admissions/sec through the *socket* front door: TCP
   // loopback, the event loop on its own thread, one client writing the
   // BM_ServeStream script and reading every routed reply back.  The
-  // delta against BM_ServeStream is the transport tax (epoll wakeups,
+  // delta against BM_ServeStream is the transport tax (poll wakeups,
   // line reassembly, reply routing, loopback copies).
   constexpr int kSubs = 256;
   std::string script = serve_script(kSubs);

@@ -200,8 +200,9 @@ struct ExperimentConfig {
   double net_latency = 0.0;
   /// Timer-queue backend for every simulation engine (serial and per-shard):
   /// "heap" (pooled 4-ary heap, the default) or any name registered via
-  /// sim::register_timer_queue.  Backends share pop order and event-id
-  /// allocation, so run fingerprints are bit-identical across them.
+  /// sim::register_timer_queue.  A registered queue delegates to "heap"
+  /// for pop order and event-id allocation, so run fingerprints are
+  /// bit-identical across them.
   std::string timer_queue = "heap";
 
   // --- run control ----------------------------------------------------------
@@ -248,7 +249,7 @@ struct ExperimentConfig {
   /// All problems with this config (empty = valid): inconsistent shapes
   /// (node_speeds vs k, n_min > n_max, slack_min > slack_max), negative
   /// rates, unknown scheduler_policy/placement/service_dist/strategy
-  /// names, ...  Same checks as exp::validate().
+  /// names, ...  Reports every problem at once (src/exp/validate.cpp).
   std::vector<std::string> validate() const;
 
   /// Throws std::invalid_argument listing every problem when invalid.

@@ -9,14 +9,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
-
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <ostream>
 #include <sstream>
@@ -90,91 +86,45 @@ bool parse_listen_spec(const std::string& text, ListenSpec* spec,
 
 // --- Poller --------------------------------------------------------------
 
-Poller::Poller() {
-#ifdef __linux__
-  const char* force_poll = std::getenv("SDA_NET_POLL");
-  if (force_poll == nullptr || force_poll[0] == '\0' ||
-      force_poll[0] == '0') {
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    // epoll_fd_ stays -1 on failure: silently degrade to poll.
-  }
-#endif
+namespace {
+
+short interest_events(bool want_write) {
+  return static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
 }
 
-Poller::~Poller() {
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    if (::close(epoll_fd_) != 0) { /* shutting down anyway */ }
-  }
-#endif
+}  // namespace
+
+std::vector<pollfd>::iterator Poller::find(int fd) {
+  return std::find_if(fds_.begin(), fds_.end(),
+                      [fd](const pollfd& p) { return p.fd == fd; });
 }
 
 bool Poller::add(int fd, bool want_write) {
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) return false;
-  }
-#endif
-  interest_[fd] = want_write;
+  if (find(fd) != fds_.end()) return false;
+  pollfd p{};
+  p.fd = fd;
+  p.events = interest_events(want_write);
+  fds_.push_back(p);
   return true;
 }
 
 bool Poller::update(int fd, bool want_write) {
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) != 0) return false;
-  }
-#endif
-  interest_[fd] = want_write;
+  const auto it = find(fd);
+  if (it == fds_.end()) return false;
+  it->events = interest_events(want_write);
   return true;
 }
 
 void Poller::remove(int fd) {
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr) != 0) {
-      // Removing an already-closed fd is fine.
-    }
-  }
-#endif
-  interest_.erase(fd);
+  const auto it = find(fd);
+  if (it != fds_.end()) fds_.erase(it);
 }
 
 bool Poller::wait(int timeout_ms, std::vector<Event>& events) {
   events.clear();
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    epoll_event ready[64];
-    const int n = ::epoll_wait(epoll_fd_, ready, 64, timeout_ms);
-    if (n < 0) return errno == EINTR;
-    for (int i = 0; i < n; ++i) {
-      Event ev;
-      ev.fd = ready[i].data.fd;
-      ev.readable = (ready[i].events & (EPOLLIN | EPOLLHUP)) != 0;
-      ev.writable = (ready[i].events & EPOLLOUT) != 0;
-      ev.error = (ready[i].events & EPOLLERR) != 0;
-      events.push_back(ev);
-    }
-    return true;
-  }
-#endif
-  std::vector<pollfd> fds;
-  fds.reserve(interest_.size());
-  for (const auto& [fd, want_write] : interest_) {
-    pollfd p{};
-    p.fd = fd;
-    p.events = static_cast<short>(POLLIN | (want_write ? POLLOUT : 0));
-    fds.push_back(p);
-  }
-  const int n = ::poll(fds.data(), fds.size(), timeout_ms);
+  const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
   if (n < 0) return errno == EINTR;
-  for (const pollfd& p : fds) {
+  for (const pollfd& p : fds_) {
     if (p.revents == 0) continue;
     Event ev;
     ev.fd = p.fd;
@@ -301,7 +251,7 @@ std::string ServeServer::banner() const {
         .kv("host", options_.listen.host)
         .kv("port", static_cast<std::uint64_t>(bound_port_));
   }
-  w.kv("backend", poller_.using_epoll() ? "epoll" : "poll")
+  w.kv("backend", "poll")
       .kv("pid", static_cast<std::uint64_t>(::getpid()))
       .end_object();
   return std::move(out).str();

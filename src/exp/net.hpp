@@ -1,6 +1,5 @@
 // The socket transport for the admission front door: a single-threaded
-// non-blocking event loop (epoll on Linux, poll everywhere else /
-// when SDA_NET_POLL=1) that drives one shared ServeSession.
+// non-blocking poll(2) event loop that drives one shared ServeSession.
 //
 // Service model: any number of clients connect and write protocol
 // lines; every decision is routed back to the connection that
@@ -25,6 +24,8 @@
 // stream.  kill -9 is the *other* supported shutdown: the journal
 // replays (see journal.hpp).
 #pragma once
+
+#include <poll.h>
 
 #include <cstdint>
 #include <iosfwd>
@@ -73,9 +74,9 @@ struct ServerOptions {
   int sndbuf_bytes = 0;
 };
 
-/// Minimal readiness-API shim: epoll where available, poll otherwise.
-/// Level-triggered semantics in both backends (the loop re-arms write
-/// interest only while bytes are pending, so level-triggered is cheap).
+/// Minimal readiness-API shim over poll(2), level-triggered (the loop
+/// re-arms write interest only while bytes are pending).  The interest
+/// set is the pollfd array poll() reads, kept in insertion order.
 class Poller {
  public:
   struct Event {
@@ -85,22 +86,19 @@ class Poller {
     bool error = false;
   };
 
-  Poller();
-  ~Poller();
-  Poller(const Poller&) = delete;
-  Poller& operator=(const Poller&) = delete;
-
+  /// Returns false if @p fd is already registered.
   bool add(int fd, bool want_write);
+  /// Returns false if @p fd was never added.
   bool update(int fd, bool want_write);
   void remove(int fd);
   /// Blocks up to @p timeout_ms; fills @p events with ready fds.
-  /// Returns false on an unrecoverable backend error.
+  /// Returns false on an unrecoverable poll() error.
   bool wait(int timeout_ms, std::vector<Event>& events);
-  bool using_epoll() const noexcept { return epoll_fd_ >= 0; }
 
  private:
-  int epoll_fd_ = -1;                 ///< -1 = poll fallback
-  std::map<int, bool> interest_;      ///< fd -> want_write (poll backend)
+  std::vector<pollfd>::iterator find(int fd);
+
+  std::vector<pollfd> fds_;  ///< events = POLLIN, plus POLLOUT on demand
 };
 
 /// One accepted client.

@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "src/exp/runner_detail.hpp"
-#include "src/exp/validate.hpp"
 
 #include "src/core/strategy.hpp"
 #include "src/fault/fault_plan.hpp"
@@ -577,7 +576,7 @@ metrics::Report run_experiment(const ExperimentConfig& config) {
 metrics::Report run_experiment(const ExperimentConfig& config,
                                util::ThreadPool& pool,
                                std::vector<std::uint64_t>* fingerprints) {
-  validate_or_throw(config);
+  config.validate_or_throw();
   // Replications are fully independent simulations, so fan them out over
   // the pool; results are folded in replication order below, keeping the
   // report bit-identical to the sequential fold regardless of pool size.

@@ -1,4 +1,6 @@
-#include "src/exp/validate.hpp"
+// ExperimentConfig::validate(): whole-config validation with actionable
+// messages, reporting every problem at once.
+#include "src/exp/config.hpp"
 
 #include <algorithm>
 #include <sstream>
@@ -13,7 +15,8 @@
 
 namespace sda::exp {
 
-std::vector<std::string> validate(const ExperimentConfig& c) {
+std::vector<std::string> ExperimentConfig::validate() const {
+  const ExperimentConfig& c = *this;
   std::vector<std::string> problems;
   auto bad = [&](const std::string& what) { problems.push_back(what); };
 
@@ -172,8 +175,8 @@ std::vector<std::string> validate(const ExperimentConfig& c) {
   return problems;
 }
 
-void validate_or_throw(const ExperimentConfig& config) {
-  const auto problems = validate(config);
+void ExperimentConfig::validate_or_throw() const {
+  const auto problems = validate();
   if (problems.empty()) return;
   std::ostringstream os;
   os << "invalid experiment config:";

@@ -24,8 +24,8 @@ class Engine {
   Engine() : queue_(std::make_unique<EventQueue>()) {}
 
   /// Runs on an explicit timer-queue backend (see make_timer_queue()).
-  /// All backends share the slot slab and the (time, insertion-sequence)
-  /// pop order, so traces and EventIds are identical across them.
+  /// A registered queue delegates to "heap" for ordering and slot
+  /// allocation, so traces and EventIds are identical with or without it.
   explicit Engine(std::unique_ptr<TimerQueue> queue)
       : queue_(std::move(queue)) {}
 

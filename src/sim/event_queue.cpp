@@ -179,4 +179,15 @@ EventQueue::Popped EventQueue::pop_slot() {
   return Popped{top.time, std::move(fn), s};
 }
 
+std::uint32_t EventQueue::alloc_slot_grow() {
+  if (slot_count_ >= kSlotMask) {  // kSlotMask itself is the list terminator
+    throw std::length_error("TimerQueue: too many concurrent events");
+  }
+  if (slot_count_ == slot_capacity()) {
+    chunks_.push_back(std::make_unique<Slot[]>(
+        chunks_.empty() ? kFirstChunkSize : kChunkSize));
+  }
+  return slot_count_++;
+}
+
 }  // namespace sda::sim

@@ -7,7 +7,7 @@
 #include <thread>
 #include <utility>
 
-// sda-analyze: allow(LAYERING) worker shards feed Collector sinks directly
+// sda-lint: allow(LAYERING) worker shards feed Collector sinks directly
 #include "src/metrics/collector.hpp"
 
 namespace sda::sim {

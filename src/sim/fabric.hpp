@@ -66,9 +66,9 @@
 
 // Engine's parallel twin: include-only payload-type dependency
 // (GlobalTaskRecord), see layering note above.
-// sda-analyze: allow(LAYERING) payload-type-only dependency of the engine twin
+// sda-lint: allow(LAYERING) payload-type-only dependency of the engine twin
 #include "src/core/process_manager.hpp"  // GlobalTaskRecord
-// sda-analyze: allow(LAYERING) deferred TraceRecord payload, same note
+// sda-lint: allow(LAYERING) deferred TraceRecord payload, same note
 #include "src/metrics/trace.hpp"
 #include "src/sim/engine.hpp"
 #include "src/task/task.hpp"

@@ -1,25 +1,8 @@
 #include "src/sim/timer_queue.hpp"
 
-#include <stdexcept>
-
 #include "src/sim/event_queue.hpp"
 
 namespace sda::sim {
-
-namespace detail {
-
-std::uint32_t SlotPool::alloc_slot_grow() {
-  if (slot_count_ >= kSlotMask) {  // kSlotMask itself is the list terminator
-    throw std::length_error("TimerQueue: too many concurrent events");
-  }
-  if (slot_count_ == slot_capacity()) {
-    chunks_.push_back(std::make_unique<Slot[]>(
-        chunks_.empty() ? kFirstChunkSize : kChunkSize));
-  }
-  return slot_count_++;
-}
-
-}  // namespace detail
 
 namespace {
 

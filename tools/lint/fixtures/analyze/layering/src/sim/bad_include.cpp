@@ -4,7 +4,7 @@
 // sched include is suppressed with a reason.
 #include "src/core/admission.hpp"
 #include "src/core/invariants.hpp"
-// sda-analyze: allow(LAYERING) fixture: suppressed upward include
+// sda-lint: allow(LAYERING) fixture: suppressed upward include
 #include "src/sched/edf.hpp"
 
 int sim_bad_include() { return 1; }

@@ -13,7 +13,7 @@ struct Registry {
   std::map<Node*, int> by_addr;           // BAD: address order
   std::set<const Node*> live;             // BAD: address order
   std::map<std::uint64_t, Node> by_id;    // fine: stable-id key
-  // sda-analyze: allow(PTR_KEY_ORDER) fixture: suppressed with a reason
+  // sda-lint: allow(PTR_KEY_ORDER) fixture: suppressed with a reason
   std::multimap<Node*, int> suppressed;
 };
 

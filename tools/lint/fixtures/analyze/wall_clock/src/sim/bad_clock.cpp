@@ -1,6 +1,9 @@
 // Fixture: wall-clock access inside the deterministic core.  Expect
-// exactly two WALL_CLOCK findings (steady_clock and clock_gettime); the
-// suppressed system_clock line carries a reason and must not fire.
+// exactly two WALL_CLOCK findings (steady_clock and clock_gettime).  The
+// suppressed high_resolution_clock line carries a reason and must fire in
+// neither tool.  system_clock and time() are sda_lint's RNG_SOURCE
+// everywhere, so the last function holds two RNG_SOURCE findings and no
+// WALL_CLOCK finding.
 #include <chrono>
 #include <ctime>
 
@@ -15,5 +18,10 @@ long sim_bad_posix_now() {
   return ts.tv_sec;
 }
 
-// sda-analyze: allow(WALL_CLOCK) fixture: suppressed with a reason
-long sim_suppressed_now() { return std::chrono::system_clock::now().time_since_epoch().count(); }
+// sda-lint: allow(WALL_CLOCK) fixture: suppressed with a reason
+long sim_suppressed_now() { return std::chrono::high_resolution_clock::now().time_since_epoch().count(); }
+
+long sim_entropy_now() {
+  return std::chrono::system_clock::now().time_since_epoch().count() +
+         time(nullptr);
+}

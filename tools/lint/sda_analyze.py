@@ -2,7 +2,7 @@
 """sda-analyze: compile_commands-driven semantic checks for the SDA repo.
 
 Where sda_lint.py scans tokens line by line, this pass works on program
-structure: the project include graph, container/iteration flow, and
+structure: the project include graph, layer placement, and
 callback reachability.  Still stdlib-only (no libclang): the repo builds
 with GCC where clang tooling may be absent, so the analysis parses the
 translation-unit set out of build/compile_commands.json (falling back to
@@ -20,22 +20,17 @@ Rules:
   CYCLE               A cycle in the project include graph (pragma once
                       hides it at compile time until it deadlocks a
                       refactor; here it is an error outright).
-  WALL_CLOCK          Wall-clock access (system_clock, steady_clock,
+  WALL_CLOCK          Wall-clock access (steady_clock,
                       high_resolution_clock, gettimeofday,
-                      clock_gettime, time()) inside src/sim or
-                      src/sched.  Simulated time is the logical Time
-                      axis; wall time in the deterministic core makes
-                      results machine-dependent.
+                      clock_gettime) inside src/sim or src/sched.
+                      Simulated time is the logical Time axis; wall time
+                      in the deterministic core makes results
+                      machine-dependent.  system_clock and time() are
+                      sda_lint's RNG_SOURCE, tree-wide.
   PTR_KEY_ORDER       A pointer-keyed ordered container
                       (std::map<T*, ...>, std::set<T*>): iteration
                       order is allocation-address order, different
                       every run.  Key by a stable id instead.
-  UNORDERED_SINK      Range-for over a std::unordered_* container whose
-                      loop body feeds a determinism-sensitive sink
-                      (fingerprint/fnv1a mixing, JSON/CSV export,
-                      trace/metric recording).  Unspecified iteration
-                      order flows straight into bytes that are supposed
-                      to be reproducible; fold through a sorted copy.
   CALLBACK_REENTRANT  A synchronous callback-invoking call (feed,
                       for_each, visit, scan, each — APIs that run a
                       lambda while iterating internal state) whose
@@ -46,9 +41,13 @@ Rules:
                       use-after-free.  Destruction must be deferred
                       (mark + reap after the stack unwinds).
 
-Suppression: `// sda-analyze: allow(RULE) reason` on the offending line
-or the line directly above.  The reason is mandatory in spirit and
-audited by `sda_lint.py --audit-suppressions`.
+Unordered iteration is sda_lint's UNORDERED_ITER, which reports every
+range-for over a std::unordered_* container, sink or not.
+
+Suppression: sda_lint's one spelling, `// sda-lint: allow(RULE) reason`
+on the offending line or the line directly above, read through
+sda_lint.strip_lines() and sda_lint.suppressed().  The reason is audited
+by `sda_lint.py --audit-suppressions`.
 
 Findings print as `file:line: RULE message`; exit status is 1 when
 anything fired, 0 when clean, 2 on usage errors — same contract as
@@ -66,15 +65,13 @@ import sda_lint  # noqa: E402  (shared Line/strip_lines/Finding machinery)
 
 Finding = sda_lint.Finding
 relpath = sda_lint.relpath
+suppressed = sda_lint.suppressed
 
 HEADER_EXT = sda_lint.HEADER_EXT
 SOURCE_EXT = sda_lint.SOURCE_EXT
 
-ANALYZE_ALLOW_RE = re.compile(r"sda-analyze:\s*allow\(([A-Z_,\s]+)\)")
-
 RULES = [
-    "LAYERING", "CYCLE", "WALL_CLOCK", "PTR_KEY_ORDER", "UNORDERED_SINK",
-    "CALLBACK_REENTRANT",
+    "LAYERING", "CYCLE", "WALL_CLOCK", "PTR_KEY_ORDER", "CALLBACK_REENTRANT",
 ]
 
 # --- layer DAG -------------------------------------------------------------
@@ -118,34 +115,18 @@ def layer_name(rel):
 
 
 class SourceFile:
-    """One scanned file: blanked lines + analyze-allow sets + includes."""
+    """One scanned file: blanked lines (with allow() sets) + includes."""
 
-    __slots__ = ("rel", "lines", "allows", "includes")
+    __slots__ = ("rel", "lines", "includes")
 
     def __init__(self, rel, text):
         self.rel = rel
         self.lines = sda_lint.strip_lines(text)
-        self.allows = []
-        for ln in self.lines:
-            found = set()
-            for m in ANALYZE_ALLOW_RE.finditer(ln.raw):
-                for rule in m.group(1).split(","):
-                    rule = rule.strip()
-                    if rule:
-                        found.add(rule)
-            self.allows.append(found)
         self.includes = []  # (line_idx, included_rel)
         for idx, ln in enumerate(self.lines):
             m = INCLUDE_RE.match(ln.raw)
             if m:
                 self.includes.append((idx, m.group(1)))
-
-    def suppressed(self, idx, rule):
-        if rule in self.allows[idx]:
-            return True
-        if idx > 0 and rule in self.allows[idx - 1]:
-            return True
-        return False
 
 
 # --- rule: LAYERING --------------------------------------------------------
@@ -160,7 +141,7 @@ def rule_layering(sf, findings):
         inc_rank = layer_rank(inc)
         if inc_rank == UNRANKED or inc_rank <= my_rank:
             continue
-        if sf.suppressed(idx, "LAYERING"):
+        if suppressed(sf.lines, idx, "LAYERING"):
             continue
         findings.append(Finding(
             sf.rel, idx + 1, "LAYERING",
@@ -238,14 +219,11 @@ def rule_cycle(files_by_rel, findings):
 
 WALL_CLOCK_DIRS = ("src/sim/", "src/sched/")
 WALL_CLOCK_PATTERNS = [
-    (re.compile(r"\bsystem_clock\b"), "std::chrono::system_clock"),
     (re.compile(r"\bsteady_clock\b"), "std::chrono::steady_clock"),
     (re.compile(r"\bhigh_resolution_clock\b"),
      "std::chrono::high_resolution_clock"),
     (re.compile(r"\bgettimeofday\s*\("), "gettimeofday()"),
     (re.compile(r"\bclock_gettime\s*\("), "clock_gettime()"),
-    (re.compile(r"(?:\bstd::|(?<![:\w.>]))time\s*\(\s*(NULL|nullptr|0)?\s*\)"),
-     "time()"),
 ]
 
 
@@ -254,7 +232,7 @@ def rule_wall_clock(sf, findings):
         return
     for idx, ln in enumerate(sf.lines):
         for pat, what in WALL_CLOCK_PATTERNS:
-            if pat.search(ln.code) and not sf.suppressed(idx, "WALL_CLOCK"):
+            if pat.search(ln.code) and not suppressed(sf.lines, idx, "WALL_CLOCK"):
                 findings.append(Finding(
                     sf.rel, idx + 1, "WALL_CLOCK",
                     f"wall-clock source {what} in the deterministic core "
@@ -272,7 +250,7 @@ PTR_KEY_RE = re.compile(
 def rule_ptr_key_order(sf, findings):
     for idx, ln in enumerate(sf.lines):
         m = PTR_KEY_RE.search(ln.code)
-        if m and not sf.suppressed(idx, "PTR_KEY_ORDER"):
+        if m and not suppressed(sf.lines, idx, "PTR_KEY_ORDER"):
             findings.append(Finding(
                 sf.rel, idx + 1, "PTR_KEY_ORDER",
                 f"pointer-keyed std::{m.group(1)}: iteration order is "
@@ -280,16 +258,12 @@ def rule_ptr_key_order(sf, findings):
                 "by a stable id (ticket, index, name) instead"))
 
 
-# --- rule: UNORDERED_SINK --------------------------------------------------
-
-SINK_RE = re.compile(
-    r"\bfnv1a|\bfingerprint\b|JsonWriter|\.kv\s*\(|\bexport_|"
-    r"record_simple|record_global|\.add\s*\(|\bTraceRecord\b|csv")
-
+# --- rule: CALLBACK_REENTRANT ----------------------------------------------
 
 def loop_body_text(sf, idx, max_lines=40):
-    """Text of the loop body opened at line idx (brace-matched; for a
-    braceless single-statement body, that statement)."""
+    """Text of the block opened at line idx — a loop or lambda body
+    (brace-matched; for a braceless single-statement body, that
+    statement)."""
     depth = 0
     seen_open = False
     chunks = []
@@ -309,34 +283,6 @@ def loop_body_text(sf, idx, max_lines=40):
             break  # braceless body: first statement ends it
     return "\n".join(chunks)
 
-
-def rule_unordered_sink(sf, findings, unordered_names, local_names):
-    for idx, ln in enumerate(sf.lines):
-        m = sda_lint.RANGE_FOR_RE.search(ln.code)
-        if not m:
-            continue
-        target = m.group(1)
-        base = re.split(r"\.|->", target)[-1]
-        if base == target and not base.endswith("_"):
-            candidates = local_names
-        else:
-            candidates = unordered_names
-        if base not in candidates:
-            continue
-        body = loop_body_text(sf, idx)
-        if not SINK_RE.search(body):
-            continue
-        if sf.suppressed(idx, "UNORDERED_SINK"):
-            continue
-        findings.append(Finding(
-            sf.rel, idx + 1, "UNORDERED_SINK",
-            f"iteration over unordered container '{target}' flows into a "
-            "fingerprint/export/trace sink inside the loop body; "
-            "unspecified order becomes nondeterministic output — fold "
-            "through a sorted copy"))
-
-
-# --- rule: CALLBACK_REENTRANT ----------------------------------------------
 
 # Methods that run a user lambda synchronously over internal state.
 # Deferred registrars (at/post/in/schedule) are deliberately absent:
@@ -493,7 +439,7 @@ def rule_callback_reentrant(sf, findings, all_files):
                     break
             if hit:
                 break
-        if hit is None or sf.suppressed(idx, "CALLBACK_REENTRANT"):
+        if hit is None or suppressed(sf.lines, idx, "CALLBACK_REENTRANT"):
             continue
         where, container = hit
         via = "directly in the lambda" if where == "<lambda>" \
@@ -624,9 +570,6 @@ def main(argv=None):
             print(f"{rel}:0: ERROR cannot read: {e}", file=sys.stderr)
 
     all_files = list(files_by_rel.values())
-    all_lines = {rel: sf.lines for rel, sf in files_by_rel.items()}
-    unordered_names, per_file_names = \
-        sda_lint.collect_unordered_names(all_lines)
 
     def enabled(rule):
         return only_rules is None or rule in only_rules
@@ -640,9 +583,6 @@ def main(argv=None):
             rule_wall_clock(sf, findings)
         if enabled("PTR_KEY_ORDER"):
             rule_ptr_key_order(sf, findings)
-        if enabled("UNORDERED_SINK"):
-            rule_unordered_sink(sf, findings, unordered_names,
-                                per_file_names[rel])
         if enabled("CALLBACK_REENTRANT"):
             rule_callback_reentrant(sf, findings, all_files)
     if enabled("CYCLE"):

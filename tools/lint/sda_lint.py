@@ -5,9 +5,12 @@ Dependency-free (stdlib only) so it runs anywhere the repo builds.  The
 rules encode contracts the compiler cannot see:
 
   RNG_SOURCE          Nondeterministic sources (rand(), std::random_device,
-                      system_clock, time(NULL)) outside src/util/rng.* —
-                      every simulated number must flow from the seeded
-                      util::Rng or results stop being reproducible.
+                      system_clock, time(NULL)) anywhere outside
+                      src/util/rng.* — every simulated number must flow
+                      from the seeded util::Rng or results stop being
+                      reproducible.  The other wall clocks are
+                      sda_analyze's WALL_CLOCK, confined to src/sim and
+                      src/sched.
   STD_FUNCTION        std::function in simulator code.  Stored callbacks
                       use util::UniqueFn (SBO, move-only), synchronous
                       call parameters use util::FunctionRef, and event
@@ -44,9 +47,11 @@ rules encode contracts the compiler cannot see:
                       wrap in a helper); a deliberate discard must be
                       spelled (void)::write(...) or carry an allow().
 
-Suppression: append `// sda-lint: allow(RULE)` on the offending line or
-the line directly above it.  Findings print as `file:line: RULE message`
-and the exit status is the number of files with findings (0 = clean).
+Suppression: `// sda-lint: allow(RULE) reason` on the offending line or
+the line directly above it.  The same spelling suppresses sda_analyze's
+rules, which read it through strip_lines() and suppressed() below.
+Findings print as `file:line: RULE message` and the exit status is 1
+when anything fired, 0 when clean, 2 on usage errors.
 """
 
 import argparse
@@ -74,12 +79,11 @@ FLOAT_EQ_ALLOWED = ("src/util/feq.hpp",)
 
 ALLOW_RE = re.compile(r"sda-lint:\s*allow\(([A-Z_,\s]+)\)")
 
-# Every suppression pragma in the tree — sda-lint's and sda-analyze's —
-# with whatever text follows the closing paren.  `--audit-suppressions`
-# requires that text to be a non-empty justification: a suppression
-# without a reason is unreviewable and fails the audit.
-SUPPRESSION_RE = re.compile(
-    r"(sda-(?:lint|analyze)):\s*allow\(([A-Z_,\s]+)\)\s*(.*)")
+# Every suppression pragma in the tree with whatever text follows the
+# closing paren.  `--audit-suppressions` requires that text to be a
+# non-empty justification: a suppression without a reason is unreviewable
+# and fails the audit.
+SUPPRESSION_RE = re.compile(r"sda-lint:\s*allow\(([A-Z_,\s]+)\)\s*(.*)")
 
 
 class Line:
@@ -184,7 +188,7 @@ def relpath(path, root):
 
 RNG_PATTERNS = [
     (re.compile(r"\b(?:std::)?random_device\b"), "std::random_device"),
-    (re.compile(r"\bstd::chrono::system_clock\b"), "system_clock"),
+    (re.compile(r"\bsystem_clock\b"), "system_clock"),
     (re.compile(r"(?:\bstd::|(?<![:\w.]))rand\s*\("), "rand()"),
     (re.compile(r"(?:\bstd::|(?<![:\w.]))srand\s*\("), "srand()"),
     (re.compile(r"(?:\bstd::|(?<![:\w.>]))time\s*\(\s*(NULL|nullptr|0)?\s*\)"),
@@ -502,8 +506,8 @@ def gather(root, subdirs):
 
 
 def audit_suppressions(root, files):
-    """Inventory every sda-lint/sda-analyze allow() pragma.  Returns the
-    inventory lines plus a Finding for each suppression with no reason."""
+    """Inventory every allow() pragma.  Returns the inventory lines plus a
+    Finding for each suppression with no reason."""
     entries, findings = [], []
     for path in files:
         rel = relpath(path, root)
@@ -515,19 +519,18 @@ def audit_suppressions(root, files):
             continue
         for idx, raw in enumerate(raw_lines):
             for m in SUPPRESSION_RE.finditer(raw):
-                prefix, rules, reason = m.group(1), m.group(2), \
-                    m.group(3).strip()
+                rules, reason = m.group(1), m.group(2).strip()
                 for rule in rules.split(","):
                     rule = rule.strip()
                     if not rule:
                         continue
                     entries.append(
-                        f"{rel}:{idx + 1}: {prefix} {rule}: "
+                        f"{rel}:{idx + 1}: {rule}: "
                         f"{reason or '<no reason>'}")
                     if not reason:
                         findings.append(Finding(
                             rel, idx + 1, rule,
-                            f"{prefix} suppression has no reason — add a "
+                            "suppression has no reason — add a "
                             "justification after the closing paren"))
     return entries, findings
 
@@ -537,15 +540,15 @@ def main(argv=None):
         description="Project linter for the SDA simulator "
                     "(rules: " + ", ".join(RULES_HELP) + ")")
     ap.add_argument("paths", nargs="*", default=[],
-                    help="files or directories to scan "
-                         "(default: src bench examples)")
+                    help="files or directories to scan (default: src "
+                         "bench examples tools, minus tools/lint)")
     ap.add_argument("--root", default=None,
                     help="repo root for path display (default: cwd or the "
                          "directory containing this script's repo)")
     ap.add_argument("--rules", default=None,
                     help="comma-separated subset of rules to run")
     ap.add_argument("--audit-suppressions", action="store_true",
-                    help="list every sda-lint/sda-analyze allow() pragma "
+                    help="list every sda-lint allow() pragma "
                          "with its reason; fail if any has no reason")
     args = ap.parse_args(argv)
 
@@ -557,7 +560,6 @@ def main(argv=None):
             else os.getcwd()
     root = os.path.abspath(root)
 
-    subdirs = args.paths or ["src", "bench", "examples"]
     only_rules = None
     if args.rules:
         only_rules = {r.strip() for r in args.rules.split(",") if r.strip()}
@@ -567,14 +569,12 @@ def main(argv=None):
                   file=sys.stderr)
             return 2
 
-    files = gather(root, subdirs)
-    if args.audit_suppressions and not args.paths:
-        # The audit also covers tools/ (the analyzer's allow() pragmas
-        # live anywhere in the tree); lint fixtures are excluded — they
-        # exercise the linter and suppress violations by design.
-        files = sorted(set(files) | {
-            f for f in gather(root, ["tools"])
-            if "tools/lint/" not in relpath(f, root)})
+    files = gather(root, args.paths or ["src", "bench", "examples", "tools"])
+    if not args.paths:
+        # Lint fixtures violate (and suppress) rules by design; the
+        # selftests scan them.
+        files = [f for f in files
+                 if not relpath(f, root).startswith("tools/lint/")]
     if not files:
         print("sda-lint: no source files found", file=sys.stderr)
         return 2

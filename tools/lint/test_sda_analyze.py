@@ -21,6 +21,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
 import sda_analyze  # noqa: E402
+import sda_lint  # noqa: E402
 
 FIXTURES = os.path.join(HERE, "fixtures", "analyze")
 
@@ -31,18 +32,17 @@ CASES = [
     ("cycle", "CYCLE", 1, "src/util/a.hpp -> src/util/b.hpp"),
     ("wall_clock", "WALL_CLOCK", 2, "src/sim/bad_clock.cpp"),
     ("ptr_key", "PTR_KEY_ORDER", 2, "src/core/bad_ptr_key.cpp"),
-    ("unordered_sink", "UNORDERED_SINK", 1, "src/metrics/bad_sink.cpp:19"),
     ("callback", "CALLBACK_REENTRANT", 1, "src/exp/bad_reentrant.cpp:40"),
 ]
 
 
-def run_case(case, rule):
-    """Runs the analyzer on one fixture tree with one rule enabled."""
+def scan(tool, case, *extra):
+    """Runs @p tool's main() on one fixture tree; returns (exit, findings)."""
     root = os.path.join(FIXTURES, case)
     out = io.StringIO()
     err = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = sda_analyze.main(["src", "--root", root, "--rules", rule])
+        code = tool.main(["src", "--root", root, *extra])
     lines = [l for l in out.getvalue().splitlines() if l.strip()]
     return code, lines
 
@@ -54,7 +54,7 @@ def main():
         if not os.path.isdir(root):
             failures.append(f"{case}: fixture tree missing")
             continue
-        code, lines = run_case(case, rule)
+        code, lines = scan(sda_analyze, case, "--rules", rule)
         wrong_rule = [l for l in lines if f" {rule} " not in l]
         if wrong_rule:
             failures.append(
@@ -75,22 +75,29 @@ def main():
                 f"{case}: expected exit {expect_exit}, got {code}")
 
     # Every fixture tree must be quiet under the FULL rule set except for
-    # its own rule's expected findings — proves no cross-rule bleed
-    # (e.g. the callback fixture must not trip UNORDERED_SINK).
+    # its own rule's expected findings — proves no cross-rule bleed.
     for case, rule, expected, _anchor in CASES:
-        root = os.path.join(FIXTURES, case)
-        if not os.path.isdir(root):
+        if not os.path.isdir(os.path.join(FIXTURES, case)):
             continue
-        out = io.StringIO()
-        err = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            sda_analyze.main(["src", "--root", root])
-        lines = [l for l in out.getvalue().splitlines() if l.strip()]
+        _code, lines = scan(sda_analyze, case)
         if len(lines) != expected:
             failures.append(
                 f"{case}: full-rule-set scan expected {expected} "
                 f"finding(s), got {len(lines)}:\n  "
                 + "\n  ".join(lines or ["<none>"]))
+
+    # One `sda-lint: allow(WALL_CLOCK)` line leaves both tools quiet: the
+    # analyzer reads the linter's spelling, and the suppressed clock has
+    # no second owner.  The linter reports only the system_clock and
+    # time() lines, which are RNG_SOURCE's alone (WALL_CLOCK's count above
+    # already excludes them).
+    _code, lines = scan(sda_lint, "wall_clock")
+    want = ["src/sim/bad_clock.cpp:25: RNG_SOURCE",
+            "src/sim/bad_clock.cpp:26: RNG_SOURCE"]
+    if [l.split(" nondeterministic")[0] for l in lines] != want:
+        failures.append(
+            "wall_clock: sda_lint expected exactly " + ", ".join(want)
+            + ", got:\n  " + "\n  ".join(lines or ["<none>"]))
 
     if failures:
         for f in failures:

@@ -34,7 +34,7 @@ CASES = [
     ("endl_good.cpp", "ENDL", 0),
     ("pragma_once_bad.hpp", "PRAGMA_ONCE", 1),
     ("pragma_once_good.hpp", "PRAGMA_ONCE", 0),
-    ("unordered_iter_bad.cpp", "UNORDERED_ITER", 2),
+    ("unordered_iter_bad.cpp", "UNORDERED_ITER", 3),
     ("unordered_iter_good.cpp", "UNORDERED_ITER", 0),
     ("assert_side_effect_bad.cpp", "ASSERT_SIDE_EFFECT", 3),
     ("assert_side_effect_good.cpp", "ASSERT_SIDE_EFFECT", 0),
