@@ -469,7 +469,10 @@ BENCHMARK(BM_TracerAdd)->Arg(1)->Arg(0);
 // events.  The /1 run is the same model on one worker — the speedup
 // claim is /8 vs /1 at equal net_latency.  (On a single-core host the
 // sharded runs measure protocol overhead, not speedup; compare shard
-// counts only on a machine with >= 8 cores.)
+// counts only on a machine with >= 8 cores.)  Each replication carries
+// the fingerprint-only Tracer(1) that sda_run, run_experiment and
+// perfbench replications carry: trace records are about 90 % of the
+// sink records shard 0 merges and replays.
 void BM_WholeReplicationSharded(benchmark::State& state) {
   exp::ExperimentConfig c = exp::baseline_config();
   c.k = 1024;
@@ -480,11 +483,13 @@ void BM_WholeReplicationSharded(benchmark::State& state) {
   c.shards = static_cast<int>(state.range(0));
   std::uint64_t events = 0;
   for (auto _ : state) {
-    const exp::RunResult r = exp::run_once(c, 42);
+    metrics::Tracer tracer(1);
+    const exp::RunResult r = exp::run_once(c, 42, &tracer);
     events = r.events_fired;
-    benchmark::DoNotOptimize(r);
+    benchmark::DoNotOptimize(tracer.fingerprint());
   }
-  state.SetLabel("k=1024 frac_local=0.95 net_latency=0.5, 100 time units");
+  state.SetLabel(
+      "k=1024 frac_local=0.95 net_latency=0.5, 100 time units, Tracer(1)");
   state.counters["events"] = static_cast<double>(events);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(events));

@@ -28,7 +28,9 @@
 #   8. socket front door — spawn `--serve --listen 127.0.0.1:0 --journal`,
 #      submit over TCP, SIGTERM drain, then verify the drain summary's
 #      journal fingerprint against an offline `--recover-check` replay;
-#      finally a TSan build/run of the multi-client server test.
+#      finally a TSan build/run of the multi-client server test and of
+#      the sharded fabric's test (test_pdes: window barriers, outboxes,
+#      double-buffered sink records).
 #
 # A gate that cannot run on this host (no clang++, no clang-tidy) skips
 # instead of failing.  Every skip is collected and printed as the last
@@ -302,10 +304,10 @@ print(f"drain + replay ok: journal fingerprint {recover['fingerprint']} "
 PY
 
 echo ""
-echo "--- TSan pass over the multi-client server ---"
+echo "--- TSan pass over the multi-client server and the fabric ---"
 cmake --preset tsan > /dev/null
-cmake --build build-tsan --target test_net -j "$(nproc)"
-ctest --test-dir build-tsan -R test_net --output-on-failure
+cmake --build build-tsan --target test_net test_pdes -j "$(nproc)"
+ctest --test-dir build-tsan -R 'test_net|test_pdes' --output-on-failure
 
 echo ""
 echo "=== skipped gates ==="

@@ -108,6 +108,8 @@ class DirectWiring {
   std::uint64_t events_fired() const noexcept {
     return engine_.events_fired();
   }
+  std::uint64_t windows() const noexcept { return 0; }
+  std::uint64_t messages_posted() const noexcept { return 0; }
 
  private:
   sim::Engine engine_;
@@ -246,6 +248,10 @@ class FabricWiring {
   void run(sim::Time horizon) { fabric_.run(horizon); }
   std::uint64_t events_fired() const noexcept {
     return fabric_.events_fired();
+  }
+  std::uint64_t windows() const noexcept { return fabric_.windows(); }
+  std::uint64_t messages_posted() const noexcept {
+    return fabric_.messages_posted();
   }
 
  private:
@@ -524,6 +530,8 @@ RunResult assemble_and_run(const ExperimentConfig& config, std::uint64_t seed,
     result.mean_link_utilization = link_util / static_cast<double>(link_count);
   }
   result.events_fired = w.events_fired();
+  result.fabric_windows = w.windows();
+  result.fabric_messages = w.messages_posted();
   for (const auto& src : local_sources) {
     result.locals_generated += src->generated();
   }

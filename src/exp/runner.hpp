@@ -37,6 +37,11 @@ struct RunResult {
   std::uint64_t resubmissions = 0;
   std::uint64_t preemptions = 0;
 
+  // Time-window fabric diagnostics (zero on the direct wiring).  Both are
+  // functions of the model and the lookahead, not of the shard count.
+  std::uint64_t fabric_windows = 0;   ///< windows the fabric ran
+  std::uint64_t fabric_messages = 0;  ///< cross-lane messages posted
+
   // Fault/recovery diagnostics (all zero when faults are disabled).
   std::uint64_t node_crashes = 0;
   std::uint64_t transient_failures = 0;

@@ -1,7 +1,6 @@
 #include "src/sim/fabric.hpp"
 
 #include <algorithm>
-#include <barrier>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -15,6 +14,10 @@ namespace sda::sim {
 namespace {
 
 constexpr Time kIdle = std::numeric_limits<Time>::infinity();
+
+Time next_event_time(const Engine& e) {
+  return e.events_pending() > 0 ? e.next_time() : kIdle;
+}
 
 // Exact time comparison is deliberate in both orderings: the key contract
 // is "same bit pattern -> same bucket", which feq()'s tolerance would
@@ -30,7 +33,89 @@ bool record_before(const SinkRecord& a, const SinkRecord& b) noexcept {
   return a.key < b.key;
 }
 
+/// Sorts one shard's window records by (time, path).  The shard fires its
+/// events in time order, so the run is sorted by time already and the
+/// check is usually all that runs; the sort runs only when events at one
+/// timestamp fired out of path order.
+void sort_run(std::vector<SinkRecord>& run) {
+  if (!std::is_sorted(run.begin(), run.end(), record_before)) {
+    std::sort(run.begin(), run.end(), record_before);
+  }
+}
+
+/// A sorted run still being merged: [it, end).
+struct Cursor {
+  SinkRecord* it;
+  SinkRecord* end;
+};
+
+/// K-way merge of sorted runs into @p sink in (time, path) order.  The
+/// run count is the shard count plus one, so a linear scan for the
+/// smallest head beats a heap.  Keys are unique, so the order is total.
+template <class Sink>
+void merge_runs(std::vector<Cursor>& runs, Sink&& sink) {
+  std::erase_if(runs, [](const Cursor& c) { return c.it == c.end; });
+  while (!runs.empty()) {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < runs.size(); ++i) {
+      if (record_before(*runs[i].it, *runs[best].it)) best = i;
+    }
+    sink(*runs[best].it);
+    if (++runs[best].it == runs[best].end) {
+      runs[best] = runs.back();
+      runs.pop_back();
+    }
+  }
+}
+
+/// CPU hint for a spin-wait iteration (lets the sibling hyperthread run).
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
 }  // namespace
+
+void SpinBarrier::arrive_and_wait() noexcept {
+  // Pause iterations before parking: 1.5-3 ms on a 2020s x86 server core
+  // (a pause costs 20-40 ns there).  The spin must outlast a futex
+  // wake-up (50-150 us on a virtualised host) plus a window's imbalance:
+  // with a spin shorter than that, a woken shard arrives late at the next
+  // barrier, its peers park again, and every barrier costs a wake-up.
+  constexpr int kSpinIterations = 1 << 16;
+  // Every 64 pauses the waiter yields, so when other processes crowd the
+  // CPUs the shard it waits for can run; with two busy processes on a
+  // 4-CPU host a pure pause spin made a 4-shard replication more than
+  // ten times slower than parking at once.
+  constexpr int kYieldMask = 63;
+  // Read before arriving: the phase cannot complete without this thread.
+  const std::uint32_t gen = generation_.load(std::memory_order_relaxed);
+  // acq_rel: the arrivals form one release sequence, so the last arriver
+  // acquires every party's pre-barrier writes and publishes them all
+  // with the release store of the next generation.
+  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
+    arrived_.store(0, std::memory_order_relaxed);
+    generation_.store(gen + 1, std::memory_order_release);
+    generation_.notify_all();
+    return;
+  }
+  if (spin_) {
+    for (int i = 1; i <= kSpinIterations; ++i) {
+      if (generation_.load(std::memory_order_acquire) != gen) return;
+      if ((i & kYieldMask) == 0) {
+        std::this_thread::yield();
+      } else {
+        cpu_relax();
+      }
+    }
+  }
+  while (generation_.load(std::memory_order_acquire) == gen) {
+    generation_.wait(gen, std::memory_order_acquire);
+  }
+}
 
 void PathKey::push(std::uint64_t v) {
   if (depth >= kMaxDepth) {
@@ -76,12 +161,6 @@ bool NodeStatusBoard::is_up(int node, Time now) const noexcept {
   return true;
 }
 
-struct Fabric::Barrier {
-  std::barrier<> b;
-  explicit Barrier(int parties) : b(parties) {}
-  void wait() { b.arrive_and_wait(); }
-};
-
 Fabric::Fabric(const Options& opt) : opt_(opt) {
   if (opt_.lanes < 1) throw std::logic_error("Fabric: lanes must be >= 1");
   if (opt_.shards < 1) throw std::logic_error("Fabric: shards must be >= 1");
@@ -115,19 +194,19 @@ void Fabric::post(int src_lane, int dst_lane, EventFn fn) {
 
 void Fabric::emit_trace(int src_lane, const metrics::TraceRecord& rec) {
   Shard& s = *shards_[static_cast<std::size_t>(shard_of(src_lane))];
-  s.records.push_back(
+  s.records[static_cast<std::size_t>(s.parity)].push_back(
       SinkRecord{s.engine->now(), s.cur_path.child(s.next_child++), rec});
 }
 
 void Fabric::emit_simple(int src_lane, const task::SimpleTask& t) {
   Shard& s = *shards_[static_cast<std::size_t>(shard_of(src_lane))];
-  s.records.push_back(
+  s.records[static_cast<std::size_t>(s.parity)].push_back(
       SinkRecord{s.engine->now(), s.cur_path.child(s.next_child++), t});
 }
 
 void Fabric::emit_global(int src_lane, const core::GlobalTaskRecord& rec) {
   Shard& s = *shards_[static_cast<std::size_t>(shard_of(src_lane))];
-  s.records.push_back(
+  s.records[static_cast<std::size_t>(s.parity)].push_back(
       SinkRecord{s.engine->now(), s.cur_path.child(s.next_child++), rec});
 }
 
@@ -137,7 +216,13 @@ void Fabric::run(Time horizon) {
     util::LockGuard lock(failure_mu_);
     failure_ = nullptr;
   }
-  Barrier sync(opt_.shards);
+  // The first window's times are published here: starting a thread
+  // orders these writes before everything the thread does.
+  for (const auto& sh : shards_) sh->announced = next_event_time(*sh->engine);
+  // Spinning pays only while every shard has a CPU of its own.
+  const unsigned cpus = std::thread::hardware_concurrency();
+  SpinBarrier sync(opt_.shards,
+                   static_cast<unsigned>(opt_.shards) <= cpus);
   std::vector<std::thread> workers;
   workers.reserve(static_cast<std::size_t>(opt_.shards - 1));
   for (int s = 1; s < opt_.shards; ++s) {
@@ -163,59 +248,58 @@ void Fabric::run(Time horizon) {
   for (const auto& sh : shards_) sh->engine->set_now(horizon);
 }
 
-void Fabric::worker_loop(int shard, Time horizon, Barrier& sync) {
+void Fabric::worker_loop(int shard, Time horizon, SpinBarrier& sync) {
   // Every shard thread assumes the window-phase capability for its whole
   // window loop; the barrier protocol supplies the actual exclusion.
   util::RoleGuard phase(window_phase_);
   Shard& sh = *shards_[static_cast<std::size_t>(shard)];
-  const int S = opt_.shards;
+  // A model exception is kept for run() to rethrow; every shard sees the
+  // flag after the next barrier and unwinds at the same point.
+  auto guarded = [this](auto&& step) {
+    try {
+      step();
+    } catch (...) {
+      {
+        util::LockGuard lock(failure_mu_);
+        if (!failure_) failure_ = std::current_exception();
+      }
+      stop_flag_.store(true, std::memory_order_relaxed);
+    }
+  };
   for (;;) {
-    sh.announced =
-        sh.engine->events_pending() > 0 ? sh.engine->next_time() : kIdle;
-    sync.wait();  // (A) every shard's announced time is now visible
+    // Every shard published its time before barrier (C), or before the
+    // threads started.
     Time window_min = kIdle;
-    for (int s = 0; s < S; ++s) {
-      window_min = std::min(window_min, shards_[static_cast<std::size_t>(s)]->announced);
+    for (const auto& other : shards_) {
+      window_min = std::min(window_min, other->announced);
     }
     // All shards compute the same minimum, so they all break together.
     // !(x <= y) instead of x > y: also terminates when everything is
     // idle (window_min == +inf).
     if (!(window_min <= horizon)) {
       // Nothing can fire again: every pending record's order is final.
-      if (shard == 0) flush_records(kIdle);
+      if (shard == 0) guarded([&] { replay_records(kIdle); });
       break;
     }
-    if (shard == 0) {
-      ++windows_;
-      // Every future record has time >= window_min (events fire at
-      // >= window_min, messages deliver at >= window_min + L), so
-      // records strictly before it are settled and can replay now.
-      // Records at exactly window_min stay pending: at L = 0 their
-      // same-timestamp cascade may continue in this sub-round.
-      flush_records(window_min);
-    }
-    try {
+    guarded([&] {
+      if (shard == 0) {
+        ++windows_;
+        // Every future record has time >= window_min (events fire at
+        // >= window_min, messages deliver at >= window_min + L), so
+        // records strictly before it are settled and can replay now.
+        replay_records(window_min);
+      }
       run_phase(sh, window_min, horizon);
-    } catch (...) {
-      {
-        util::LockGuard lock(failure_mu_);
-        if (!failure_) failure_ = std::current_exception();
-      }
-      stop_flag_.store(true, std::memory_order_relaxed);
-    }
-    sync.wait();  // (B) run phase over everywhere; outboxes stable
+      sort_run(sh.records[static_cast<std::size_t>(sh.parity)]);
+    });
+    sh.parity ^= 1;
+    sync.arrive_and_wait();  // (B) run phase over everywhere; outboxes stable
     if (stop_flag_.load(std::memory_order_relaxed)) break;
-    try {
+    guarded([&] {
       drain_phase(shard);
-      if (shard == 0) collect_records();
-    } catch (...) {
-      {
-        util::LockGuard lock(failure_mu_);
-        if (!failure_) failure_ = std::current_exception();
-      }
-      stop_flag_.store(true, std::memory_order_relaxed);
-    }
-    sync.wait();  // (C) inboxes drained, sinks replayed; next window
+      sh.announced = next_event_time(*sh.engine);
+    });
+    sync.arrive_and_wait();  // (C) every shard's next time is published
     if (stop_flag_.load(std::memory_order_relaxed)) break;
   }
 }
@@ -272,37 +356,41 @@ void Fabric::drain_phase(int shard) {
   sh.inbound.clear();
 }
 
-void Fabric::collect_records() {
-  for (const auto& shp : shards_) {
-    Shard& sh = *shp;
-    for (SinkRecord& r : sh.records) pending_records_.push_back(std::move(r));
-    sh.records.clear();
-  }
-}
-
-void Fabric::flush_records(Time before) {
-  if (pending_records_.empty()) return;
-  // Unstable partition is fine: the flushed prefix is fully sorted below,
-  // and the kept suffix gets its own sort at its own flush.
-  const auto mid =
-      std::partition(pending_records_.begin(), pending_records_.end(),
-                     [before](const SinkRecord& r) { return r.time < before; });
-  if (mid == pending_records_.begin()) return;
+void Fabric::replay_records(Time before) {
+  // The previous window's buffers: shard 0 has flipped its parity since,
+  // in lockstep with every other shard.
+  const auto prev = static_cast<std::size_t>(shards_[0]->parity ^ 1);
+  // Each run's settled prefix and pending suffix.
+  std::vector<Cursor> settled, pending;
+  auto split = [&](std::vector<SinkRecord>& run) {
+    SinkRecord* const first = run.data();
+    SinkRecord* const last = first + run.size();
+    SinkRecord* const mid = std::partition_point(
+        first, last, [before](const SinkRecord& r) { return r.time < before; });
+    settled.push_back({first, mid});
+    pending.push_back({mid, last});
+  };
+  for (const auto& sh : shards_) split(sh->records[prev]);
+  split(frontier_);
   // Keys are unique across shards and sub-rounds, so (time, path) is a
   // total order: the replay sequence is independent of both the window
   // chop and the shard count — the determinism contract.
-  std::sort(pending_records_.begin(), mid, record_before);
-  for (auto it = pending_records_.begin(); it != mid; ++it) {
-    if (const auto* tr = std::get_if<metrics::TraceRecord>(&it->payload)) {
+  merge_runs(settled, [this](const SinkRecord& r) {
+    if (const auto* tr = std::get_if<metrics::TraceRecord>(&r.payload)) {
       if (tracer_ != nullptr) tracer_->add(*tr);
-    } else if (const auto* st = std::get_if<task::SimpleTask>(&it->payload)) {
+    } else if (const auto* st = std::get_if<task::SimpleTask>(&r.payload)) {
       if (collector_ != nullptr) collector_->record_simple(*st);
     } else if (const auto* gr =
-                   std::get_if<core::GlobalTaskRecord>(&it->payload)) {
+                   std::get_if<core::GlobalTaskRecord>(&r.payload)) {
       if (collector_ != nullptr) collector_->record_global(*gr);
     }
-  }
-  pending_records_.erase(pending_records_.begin(), mid);
+  });
+  frontier_next_.clear();
+  merge_runs(pending, [this](SinkRecord& r) {
+    frontier_next_.push_back(std::move(r));
+  });
+  frontier_.swap(frontier_next_);
+  for (const auto& sh : shards_) sh->records[prev].clear();
 }
 
 std::uint64_t Fabric::events_fired() const noexcept {

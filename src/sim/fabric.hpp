@@ -14,18 +14,36 @@
 // (post time + latency L, the modeled control-plane message latency and
 // the PDES lookahead).  Messages are buffered in per-shard-pair
 // single-producer/single-consumer queues and exchanged only at window
-// boundaries:
+// boundaries.  Every shard publishes the time of its earliest pending
+// event before the threads start, then loops:
 //
 //   loop:
-//     (A) every shard publishes the time of its earliest pending event;
-//         barrier; T = global minimum.  T > horizon -> done.
-//     (B) every shard fires its local events with time < T + L
-//         (L == 0: time == T), appending outbound messages and deferred
-//         sink records; barrier.
-//     (C) every shard drains its inbound message queues (sorted by the
-//         deterministic key below) into its engine, while shard 0 merges
-//         all shards' sink records in the same order and replays them
-//         into the Collector/Tracer; barrier; repeat.
+//     T = minimum of the published times.  T > horizon -> done.
+//     (run) shard 0 first replays the previous window's settled sink
+//         records (below).  Then every shard fires its local events with
+//         time < T + L (L == 0: time == T), appending outbound messages
+//         and deferred sink records, and sorts its own records;
+//         barrier (B).
+//     (drain) every shard drains its inbound message queues (sorted by
+//         the deterministic key below) into its engine and publishes the
+//         time of its earliest pending event; barrier (C); repeat.
+//
+// Two barriers per window.  They spin for up to a few milliseconds, then
+// park (SpinBarrier); with more shards than CPUs they park at once,
+// because a spinning waiter would hold the CPU that the shard it waits
+// for needs.
+//
+// Sink records: each shard keeps two record buffers and alternates them
+// by window, so the buffer shard 0 reads is never the one a shard
+// writes.  Events fire in time order, so a shard's buffer arrives sorted
+// by time; the shard sorts it by (time, path) only when it is not
+// already in that order.
+// At the start of the next window shard 0 merges the S sorted runs and
+// the pending frontier and replays every record with time < T into the
+// Collector/Tracer; nothing is sorted or moved on shard 0.  At L > 0
+// every record of a window is settled by the next window.  At L == 0
+// records at exactly T stay pending, because their same-timestamp
+// cascade may continue in the next sub-round at the same T.
 //
 // Safety: a message posted at time t >= T is delivered at t + L >= T + L,
 // i.e. never inside the window any shard is still executing, so no shard
@@ -192,6 +210,31 @@ struct SinkRecord {
       payload;
 };
 
+/// Reusable barrier for a fixed set of threads.  A waiter spins on the
+/// generation counter with a CPU pause hint, yielding now and then, for
+/// a few milliseconds at most, then parks on std::atomic::wait.  A futex
+/// wake-up can cost as much as a whole window of work, so the spin saves
+/// it whenever the last shard arrives soon.  Constructed with spin =
+/// false the waiters park at once: when there are more threads than CPUs
+/// a spinning waiter takes the CPU from the thread it waits for.
+///
+/// Every write a thread makes before arrive_and_wait() happens-before
+/// every read any party makes after the same barrier phase returns.
+class SpinBarrier {
+ public:
+  SpinBarrier(int parties, bool spin) : parties_(parties), spin_(spin) {}
+  SpinBarrier(const SpinBarrier&) = delete;
+  SpinBarrier& operator=(const SpinBarrier&) = delete;
+
+  void arrive_and_wait() noexcept;
+
+ private:
+  const int parties_;
+  const bool spin_;
+  alignas(64) std::atomic<int> arrived_{0};
+  alignas(64) std::atomic<std::uint32_t> generation_{0};
+};
+
 class Fabric {
  public:
   struct Options {
@@ -291,12 +334,14 @@ class Fabric {
     std::uint64_t next_child = 0;
     /// Fresh-root sequence for lane-local events.
     std::uint64_t next_root = 0;
-    /// Deferred sink records produced this window.
-    // sda-lint: allow(UNBOUNDED_QUEUE) bounded by one window's emissions
-    std::vector<SinkRecord> records;
+    /// Deferred sink records, one buffer per window parity: the run phase
+    /// writes records[parity] while shard 0 replays records[parity ^ 1],
+    /// the previous window's.  Each is bounded by one window's emissions.
+    std::array<std::vector<SinkRecord>, 2> records;
+    int parity = 0;
     /// Scratch for the drain phase (kept to reuse capacity).
     std::vector<Message> inbound;
-    /// Earliest pending time published at barrier A (+inf when idle).
+    /// Earliest pending time, published before barrier C (+inf when idle).
     Time announced = 0.0;
     std::uint64_t posted = 0;
   };
@@ -308,27 +353,22 @@ class Fabric {
                      static_cast<std::size_t>(dst_shard)];
   }
 
-  /// One worker's window loop (see file comment); `sync` is a
-  /// std::barrier shared by all shards, passed type-erased to keep
-  /// <barrier> out of this header.  Assumes window_phase_ for its whole
-  /// duration.
-  struct Barrier;
-  void worker_loop(int shard, Time horizon, Barrier& sync);
+  /// One worker's window loop (see file comment), shared barrier
+  /// `sync`.  Assumes window_phase_ for its whole duration.
+  void worker_loop(int shard, Time horizon, SpinBarrier& sync);
   /// Fires local events inside [T, window); returns on quiesce.
   void run_phase(Shard& sh, Time window_min, Time horizon)
       SDA_REQUIRES(window_phase_);
   /// Inserts inbound messages into @p sh's engine in deterministic order.
   void drain_phase(int shard) SDA_REQUIRES(window_phase_);
-  /// Shard 0: moves every shard's window records into the pending
-  /// buffer.  Records are NOT replayed here — at zero lookahead one
-  /// same-timestamp cascade spans several sub-rounds, so a record's
-  /// final (time, path) position is only settled once the window clock
-  /// has moved strictly past its timestamp.
-  void collect_records() SDA_REQUIRES(window_phase_);
-  /// Shard 0: sorts and replays every pending record with time < before
-  /// into the collector/tracer; records at exactly `before` stay pending
-  /// (their cascade may still be emitting).  Pass +inf to flush all.
-  void flush_records(Time before) SDA_REQUIRES(window_phase_);
+  /// Shard 0: merges every shard's previous-window run with the pending
+  /// frontier and replays each record with time < before into the
+  /// collector/tracer.  Records at exactly `before` join the frontier —
+  /// at zero lookahead one same-timestamp cascade spans several
+  /// sub-rounds, so a record's (time, path) position is only settled
+  /// once the window clock has moved strictly past its timestamp.
+  /// Pass +inf to flush all.
+  void replay_records(Time before) SDA_REQUIRES(window_phase_);
 
   Options opt_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -345,10 +385,12 @@ class Fabric {
   NodeStatusBoard status_;
   metrics::Collector* collector_ = nullptr;
   metrics::Tracer* tracer_ = nullptr;
-  /// Records awaiting a settled order; bounded by the records emitted at
-  /// the current time frontier (flushed as soon as the clock advances).
-  // sda-lint: allow(UNBOUNDED_QUEUE) frontier-bounded, see comment
-  std::vector<SinkRecord> pending_records_ SDA_GUARDED_BY(window_phase_);
+  /// Sorted records awaiting a settled order (zero lookahead only);
+  /// bounded by the records emitted at the current time frontier, and
+  /// replayed as soon as the clock advances.  `frontier_next_` is the
+  /// merge target, swapped in after each replay to keep both capacities.
+  std::vector<SinkRecord> frontier_ SDA_GUARDED_BY(window_phase_);
+  std::vector<SinkRecord> frontier_next_ SDA_GUARDED_BY(window_phase_);
   std::uint64_t messages_posted_ = 0;
   std::uint64_t windows_ SDA_GUARDED_BY(window_phase_) = 0;
   /// First model exception from any shard; every shard checks the flag

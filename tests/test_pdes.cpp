@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/exp/config.hpp"
@@ -150,7 +151,27 @@ TEST(PdesDeterminism, PositiveLookaheadIsShardInvariant) {
   ExperimentConfig c = pdes_base();
   c.net_latency = 0.5;
   c.pm_abort = core::PmAbortMode::kRealDeadline;
-  expect_shard_invariant(c, 2024, {1, 2, 4, 8}, "latency=0.5");
+  // 3 shards split the 8 lanes unevenly (3, 3 and 2 lanes).
+  expect_shard_invariant(c, 2024, {1, 2, 3, 4, 8}, "latency=0.5");
+}
+
+// The window sequence is a function of the model and the lookahead, not
+// of the shard count or of how many barriers a window crosses; so is the
+// number of cross-lane messages.  The pinned values are the counts of
+// the original three-barrier window loop on this config and seed.
+TEST(PdesDeterminism, WindowAndMessageCountsAreShardInvariant) {
+  constexpr std::uint64_t kPinnedWindows = 512;
+  constexpr std::uint64_t kPinnedMessages = 540;
+  ExperimentConfig c = pdes_base();
+  c.net_latency = 0.5;
+  c.pm_abort = core::PmAbortMode::kRealDeadline;
+  for (const int shards : {1, 2, 3, 4, 8}) {
+    c.shards = shards;
+    metrics::Tracer tracer(1);
+    const exp::RunResult r = exp::run_once(c, 2024, &tracer);
+    EXPECT_EQ(r.fabric_windows, kPinnedWindows) << "shards=" << shards;
+    EXPECT_EQ(r.fabric_messages, kPinnedMessages) << "shards=" << shards;
+  }
 }
 
 // Zero lookahead must degrade to per-timestamp rounds, not deadlock; this
@@ -183,6 +204,39 @@ TEST(PdesDeterminism, RunExperimentMatchesSerialReport) {
   // Same records in, same aggregates out.
   EXPECT_EQ(serial.overall_missed_work().mean,
             sharded.overall_missed_work().mean);  // sda-lint: allow(FLOAT_EQ)
+}
+
+// At positive lookahead every record of a window is settled when the
+// next window starts, so shard 0 replays the merged per-shard runs with
+// no pending frontier; shards=1 is the one-worker message-mode reference.
+TEST(PdesDeterminism, RunExperimentMatchesSerialReportAtPositiveLookahead) {
+  ExperimentConfig c = pdes_base();
+  c.replications = 2;
+  c.net_latency = 0.5;
+  util::ThreadPool pool(2);
+
+  std::vector<std::uint64_t> serial_fps;
+  c.shards = 1;
+  const metrics::Report serial = exp::run_experiment(c, pool, &serial_fps);
+
+  std::vector<std::uint64_t> sharded_fps;
+  c.shards = 4;
+  const metrics::Report sharded = exp::run_experiment(c, pool, &sharded_fps);
+
+  ASSERT_EQ(serial_fps.size(), 2u);
+  EXPECT_EQ(serial_fps, sharded_fps);
+  EXPECT_EQ(serial.overall_missed_work().mean,
+            sharded.overall_missed_work().mean);  // sda-lint: allow(FLOAT_EQ)
+  ASSERT_EQ(serial.classes(), sharded.classes());
+  ASSERT_FALSE(serial.classes().empty());
+  for (const int cls : serial.classes()) {
+    const metrics::ClassSummary a = serial.summary(cls);
+    const metrics::ClassSummary b = sharded.summary(cls);
+    EXPECT_GT(a.finished_total, 0u) << "class " << cls;
+    EXPECT_EQ(a.finished_total, b.finished_total) << "class " << cls;
+    EXPECT_EQ(a.miss_rate.mean, b.miss_rate.mean)  // sda-lint: allow(FLOAT_EQ)
+        << "class " << cls;
+  }
 }
 
 // --- fabric building blocks ------------------------------------------------
@@ -245,6 +299,35 @@ TEST(NodeStatusBoard, HalfOpenOutageIntervals) {
   EXPECT_FALSE(board.is_up(1, 32.0));
   EXPECT_TRUE(board.is_up(0, 15.0));    // other nodes unaffected
   EXPECT_TRUE(board.is_up(99, 15.0));   // out of range -> up
+}
+
+// Every write before a barrier phase must be visible to every party after
+// it, phase after phase: each thread stamps its slot with the round, then
+// checks every slot after the barrier.  Runs spinning and parked (the
+// latter is what more shards than CPUs get), with an odd party count.
+TEST(SpinBarrier, PublishesEveryPhaseToEveryParty) {
+  for (const bool spin : {true, false}) {
+    constexpr int kParties = 3;
+    constexpr int kRounds = 2000;
+    sim::SpinBarrier barrier(kParties, spin);
+    std::vector<int> stamp(kParties, -1);
+    std::vector<int> mismatches(kParties, 0);
+    auto party = [&](int self) {
+      for (int round = 0; round < kRounds; ++round) {
+        stamp[static_cast<std::size_t>(self)] = round;
+        barrier.arrive_and_wait();
+        for (const int s : stamp) {
+          if (s != round) ++mismatches[static_cast<std::size_t>(self)];
+        }
+        barrier.arrive_and_wait();  // nobody stamps the next round early
+      }
+    };
+    std::vector<std::thread> threads;
+    for (int p = 1; p < kParties; ++p) threads.emplace_back(party, p);
+    party(0);
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(mismatches, std::vector<int>(kParties, 0)) << "spin=" << spin;
+  }
 }
 
 TEST(Fabric, ShardMapAndStats) {
