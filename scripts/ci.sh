@@ -28,9 +28,11 @@
 #   8. socket front door — spawn `--serve --listen 127.0.0.1:0 --journal`,
 #      submit over TCP, SIGTERM drain, then verify the drain summary's
 #      journal fingerprint against an offline `--recover-check` replay;
-#      finally a TSan build/run of the multi-client server test and of
+#      finally a TSan build/run of the multi-client server test, of
 #      the sharded fabric's test (test_pdes: window barriers, outboxes,
-#      double-buffered sink records).
+#      double-buffered sink records) and of test_runner, whose sharded
+#      RunnerPinned rows move the sink replay between shard threads over
+#      22 configs.
 #
 # A gate that cannot run on this host (no clang++, no clang-tidy) skips
 # instead of failing.  Every skip is collected and printed as the last
@@ -306,8 +308,9 @@ PY
 echo ""
 echo "--- TSan pass over the multi-client server and the fabric ---"
 cmake --preset tsan > /dev/null
-cmake --build build-tsan --target test_net test_pdes -j "$(nproc)"
-ctest --test-dir build-tsan -R 'test_net|test_pdes' --output-on-failure
+cmake --build build-tsan --target test_net test_pdes test_runner -j "$(nproc)"
+ctest --test-dir build-tsan -R 'test_net|test_pdes|test_runner' \
+  --output-on-failure
 
 echo ""
 echo "=== skipped gates ==="

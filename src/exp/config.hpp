@@ -252,6 +252,10 @@ struct ExperimentConfig {
   /// names, ...  Reports every problem at once (src/exp/validate.cpp).
   std::vector<std::string> validate() const;
 
+  /// Valid but costly choices worth a line on stderr (empty = none):
+  /// shards > 1 at net_latency = 0, which runs slower than one shard.
+  std::vector<std::string> warnings() const;
+
   /// Throws std::invalid_argument listing every problem when invalid.
   /// Called by run_once before any part of the system is assembled.
   void validate_or_throw() const;

@@ -14,15 +14,16 @@
 //   FabricWiring  the conservative time-window fabric (src/sim/fabric.hpp,
 //                 DESIGN.md §4c).  Node i (with its local source and fault
 //                 hooks) lives on lane i; the process manager, admission
-//                 gate, global source and sinks live on the control lane
+//                 gate and global source live on the control lane
 //                 (shard 0).  Every cross-lane interaction is a message:
 //                   PM -> node    dispatch / abort through FabricNodePort
 //                                 (task clones: the PM and the node never
 //                                 share a SimpleTask object);
 //                   node -> PM    terminal subtask outcomes, as value
 //                                 snapshots replayed by handle_remote;
-//                   any -> sinks  deferred SinkRecords, merged by shard 0
-//                                 in global (time, origin-path) order.
+//                   any -> sinks  deferred SinkRecords, merged in global
+//                                 (time, origin-path) order by the first
+//                                 shard to finish the next window.
 //                 The PM's failover is_up() probe is answered from the
 //                 fabric's NodeStatusBoard (the static crash calendar).
 //

@@ -175,6 +175,21 @@ std::vector<std::string> ExperimentConfig::validate() const {
   return problems;
 }
 
+std::vector<std::string> ExperimentConfig::warnings() const {
+  std::vector<std::string> out;
+  if (shards > 1 && net_latency <= 0.0) {
+    // Zero lookahead: every timestamp is its own window (and a message
+    // cascade adds sub-rounds), so the barriers cost more than the
+    // shards save.
+    out.push_back("shards=" + std::to_string(shards) +
+                  " with net_latency=0 gives results bit-identical to "
+                  "shards=1 (outside the known gaps in DESIGN.md 4c) but "
+                  "runs slower than one shard; set net_latency > 0 to gain "
+                  "from sharding");
+  }
+  return out;
+}
+
 void ExperimentConfig::validate_or_throw() const {
   const auto problems = validate();
   if (problems.empty()) return;

@@ -18,7 +18,7 @@ std::string default_class_name(int cls) {
   return "class-" + std::to_string(cls);
 }
 
-void Collector::record_simple(const task::SimpleTask& t) {
+void Collector::record_simple(const SimpleOutcome& t) {
   // A fault-killed task counts exactly like an aborted one: it missed its
   // deadline and never completed.
   const bool aborted = t.state == task::TaskState::kAborted ||
@@ -26,12 +26,11 @@ void Collector::record_simple(const task::SimpleTask& t) {
   if (!aborted && t.state != task::TaskState::kCompleted) {
     throw std::logic_error("Collector::record_simple: task not terminal");
   }
-  const bool missed = aborted || t.finished_at > t.attrs.real_deadline;
-  const double response = aborted ? -1.0 : t.finished_at - t.attrs.arrival;
-  const double tardiness =
-      std::max(0.0, t.finished_at - t.attrs.real_deadline);
-  record(t.metrics_class, t.attrs.arrival, missed, aborted, t.attrs.exec_time,
-         response, tardiness, t.exec_node);
+  const bool missed = aborted || t.finished_at > t.real_deadline;
+  const double response = aborted ? -1.0 : t.finished_at - t.arrival;
+  const double tardiness = std::max(0.0, t.finished_at - t.real_deadline);
+  record(t.metrics_class, t.arrival, missed, aborted, t.exec_time, response,
+         tardiness, t.exec_node);
 }
 
 void Collector::record_global(const core::GlobalTaskRecord& rec) {

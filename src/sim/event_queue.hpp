@@ -93,6 +93,7 @@ class EventQueue final : public TimerQueue {
     EventFn fn;
     std::uint64_t key = ~std::uint64_t{0};
   };
+  static_assert(sizeof(Slot) == 64, "an event slot is one cache line");
 
   static constexpr std::uint32_t entry_slot(std::uint64_t key) noexcept {
     return static_cast<std::uint32_t>(key) & kSlotMask;

@@ -3,17 +3,19 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
-
-// sda-lint: allow(LAYERING) worker shards feed Collector sinks directly
-#include "src/metrics/collector.hpp"
 
 namespace sda::sim {
 
 namespace {
 
 constexpr Time kIdle = std::numeric_limits<Time>::infinity();
+
+/// Indices of the per-phase stop flags (Fabric::stop_).
+constexpr int kRunPhase = 0;
+constexpr int kDrainPhase = 1;
 
 Time next_event_time(const Engine& e) {
   return e.events_pending() > 0 ? e.next_time() : kIdle;
@@ -117,14 +119,14 @@ void SpinBarrier::arrive_and_wait() noexcept {
   }
 }
 
-void PathKey::push(std::uint64_t v) {
+void PathKey::throw_out_of_domain(int depth, std::uint64_t v) {
+  // A message chain deeper, or an event emitting more, than the model
+  // allows (see header): a bug, not a capacity tuning knob.
   if (depth >= kMaxDepth) {
-    // A same-timestamp synchronous cascade deeper than the model allows
-    // (see header): a bug, not a capacity tuning knob.
     throw std::logic_error("PathKey::push: origin path deeper than kMaxDepth");
   }
-  elem[depth] = v;
-  ++depth;
+  throw std::logic_error("PathKey::push: emission counter " +
+                         std::to_string(v) + " above kMaxCounter");
 }
 
 void CrossShardQueue::push(Message m) {
@@ -201,17 +203,19 @@ void Fabric::emit_trace(int src_lane, const metrics::TraceRecord& rec) {
 void Fabric::emit_simple(int src_lane, const task::SimpleTask& t) {
   Shard& s = *shards_[static_cast<std::size_t>(shard_of(src_lane))];
   s.records[static_cast<std::size_t>(s.parity)].push_back(
-      SinkRecord{s.engine->now(), s.cur_path.child(s.next_child++), t});
+      SinkRecord{s.engine->now(), s.cur_path.child(s.next_child++),
+                 metrics::SimpleOutcome::of(t)});
 }
 
 void Fabric::emit_global(int src_lane, const core::GlobalTaskRecord& rec) {
   Shard& s = *shards_[static_cast<std::size_t>(shard_of(src_lane))];
   s.records[static_cast<std::size_t>(s.parity)].push_back(
-      SinkRecord{s.engine->now(), s.cur_path.child(s.next_child++), rec});
+      SinkRecord{s.engine->now(), s.cur_path.child(s.next_child++),
+                 std::make_unique<const core::GlobalTaskRecord>(rec)});
 }
 
 void Fabric::run(Time horizon) {
-  stop_flag_.store(false, std::memory_order_relaxed);
+  for (auto& stop : stop_) stop.store(false, std::memory_order_relaxed);
   {
     util::LockGuard lock(failure_mu_);
     failure_ = nullptr;
@@ -254,8 +258,12 @@ void Fabric::worker_loop(int shard, Time horizon, SpinBarrier& sync) {
   util::RoleGuard phase(window_phase_);
   Shard& sh = *shards_[static_cast<std::size_t>(shard)];
   // A model exception is kept for run() to rethrow; every shard sees the
-  // flag after the next barrier and unwinds at the same point.
-  auto guarded = [this](auto&& step) {
+  // phase's flag after the next barrier and unwinds at the same point.
+  // Each phase has its own flag: a fast shard that throws early in the
+  // next phase must not be seen by a slow shard still checking this
+  // phase's flag, or that shard would leave while the others wait at
+  // the next barrier for it.
+  auto guarded = [this](int which, auto&& step) {
     try {
       step();
     } catch (...) {
@@ -263,8 +271,13 @@ void Fabric::worker_loop(int shard, Time horizon, SpinBarrier& sync) {
         util::LockGuard lock(failure_mu_);
         if (!failure_) failure_ = std::current_exception();
       }
-      stop_flag_.store(true, std::memory_order_relaxed);
+      stop_[static_cast<std::size_t>(which)].store(true,
+                                                   std::memory_order_relaxed);
     }
+  };
+  auto stopped = [this](int which) {
+    return stop_[static_cast<std::size_t>(which)].load(
+        std::memory_order_relaxed);
   };
   for (;;) {
     // Every shard published its time before barrier (C), or before the
@@ -278,29 +291,38 @@ void Fabric::worker_loop(int shard, Time horizon, SpinBarrier& sync) {
     // idle (window_min == +inf).
     if (!(window_min <= horizon)) {
       // Nothing can fire again: every pending record's order is final.
-      if (shard == 0) guarded([&] { replay_records(kIdle); });
+      if (shard == 0) {
+        guarded(kRunPhase, [&] {
+          replay_records(kIdle, static_cast<std::size_t>(sh.parity ^ 1));
+        });
+      }
       break;
     }
-    guarded([&] {
-      if (shard == 0) {
-        ++windows_;
-        // Every future record has time >= window_min (events fire at
-        // >= window_min, messages deliver at >= window_min + L), so
-        // records strictly before it are settled and can replay now.
-        replay_records(window_min);
-      }
+    guarded(kRunPhase, [&] {
+      if (shard == 0) ++windows_;
       run_phase(sh, window_min, horizon);
       sort_run(sh.records[static_cast<std::size_t>(sh.parity)]);
+      // The first shard done here replays the previous window while the
+      // others still run.  Every future record has time >= window_min
+      // (events fire at >= window_min, messages deliver at >= window_min
+      // + L), so records strictly before it are settled.  Every shard
+      // flips its parity in lockstep, so its own names the previous
+      // window's buffers on every shard.
+      if (!replay_claimed_.exchange(true)) {
+        replay_records(window_min, static_cast<std::size_t>(sh.parity ^ 1));
+      }
     });
     sh.parity ^= 1;
     sync.arrive_and_wait();  // (B) run phase over everywhere; outboxes stable
-    if (stop_flag_.load(std::memory_order_relaxed)) break;
-    guarded([&] {
+    if (stopped(kRunPhase)) break;
+    guarded(kDrainPhase, [&] {
+      // Barrier (C) orders this reset before the next window's claims.
+      if (shard == 0) replay_claimed_.store(false);
       drain_phase(shard);
       sh.announced = next_event_time(*sh.engine);
     });
     sync.arrive_and_wait();  // (C) every shard's next time is published
-    if (stop_flag_.load(std::memory_order_relaxed)) break;
+    if (stopped(kDrainPhase)) break;
   }
 }
 
@@ -321,10 +343,10 @@ void Fabric::run_phase(Shard& sh, Time window_min, Time horizon) {
       if (!(nt <= window_min)) break;
     }
     Engine::Fired f = e.pop_next();
-    if (f.slot < sh.slot_paths.size() && sh.slot_paths[f.slot].depth != 0) {
+    if (f.slot < sh.slot_paths.size() && !sh.slot_paths[f.slot].empty()) {
       // A message: inherit the origin path recorded at delivery.
       sh.cur_path = sh.slot_paths[f.slot];
-      sh.slot_paths[f.slot].depth = 0;
+      sh.slot_paths[f.slot] = PathKey{};
     } else {
       // Lane-local root event: fresh path, unique across shards.
       sh.cur_path = PathKey{};
@@ -356,10 +378,7 @@ void Fabric::drain_phase(int shard) {
   sh.inbound.clear();
 }
 
-void Fabric::replay_records(Time before) {
-  // The previous window's buffers: shard 0 has flipped its parity since,
-  // in lockstep with every other shard.
-  const auto prev = static_cast<std::size_t>(shards_[0]->parity ^ 1);
+void Fabric::replay_records(Time before, std::size_t prev) {
   // Each run's settled prefix and pending suffix.
   std::vector<Cursor> settled, pending;
   auto split = [&](std::vector<SinkRecord>& run) {
@@ -378,11 +397,13 @@ void Fabric::replay_records(Time before) {
   merge_runs(settled, [this](const SinkRecord& r) {
     if (const auto* tr = std::get_if<metrics::TraceRecord>(&r.payload)) {
       if (tracer_ != nullptr) tracer_->add(*tr);
-    } else if (const auto* st = std::get_if<task::SimpleTask>(&r.payload)) {
-      if (collector_ != nullptr) collector_->record_simple(*st);
+    } else if (const auto* so =
+                   std::get_if<metrics::SimpleOutcome>(&r.payload)) {
+      if (collector_ != nullptr) collector_->record_simple(*so);
     } else if (const auto* gr =
-                   std::get_if<core::GlobalTaskRecord>(&r.payload)) {
-      if (collector_ != nullptr) collector_->record_global(*gr);
+                   std::get_if<std::unique_ptr<const core::GlobalTaskRecord>>(
+                       &r.payload)) {
+      if (collector_ != nullptr) collector_->record_global(**gr);
     }
   });
   frontier_next_.clear();

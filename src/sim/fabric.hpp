@@ -5,9 +5,9 @@
 // is partitioned into *lanes*: lane i (i < lanes) hosts node i and all of
 // its node-local machinery (scheduler, local source, per-node fault
 // hooks); the extra *control lane* hosts the process manager, admission
-// control, the global workload source and the metric sinks.  Each lane is
-// pinned to a shard by a fixed map (control lane -> shard 0, node lane
-// i -> shard i mod S), and each shard owns a private sim::Engine.
+// control and the global workload source.  Each lane is pinned to a shard
+// by a fixed map (control lane -> shard 0, node lane i -> shard i mod S),
+// and each shard owns a private sim::Engine.
 //
 // Cross-lane interaction never touches another lane's objects directly;
 // it travels as a *message*: a callback plus a delivery time
@@ -19,31 +19,43 @@
 //
 //   loop:
 //     T = minimum of the published times.  T > horizon -> done.
-//     (run) shard 0 first replays the previous window's settled sink
-//         records (below).  Then every shard fires its local events with
-//         time < T + L (L == 0: time == T), appending outbound messages
-//         and deferred sink records, and sorts its own records;
-//         barrier (B).
+//     (run) every shard fires its local events with time < T + L
+//         (L == 0: time == T), appending outbound messages and deferred
+//         sink records, and sorts its own records.  The first shard to
+//         finish claims the replay of the previous window's records
+//         (below) and does it while the others still run; barrier (B).
 //     (drain) every shard drains its inbound message queues (sorted by
 //         the deterministic key below) into its engine and publishes the
-//         time of its earliest pending event; barrier (C); repeat.
+//         time of its earliest pending event; the replay claim is reset;
+//         barrier (C); repeat.
 //
 // Two barriers per window.  They spin for up to a few milliseconds, then
 // park (SpinBarrier); with more shards than CPUs they park at once,
 // because a spinning waiter would hold the CPU that the shard it waits
 // for needs.
 //
-// Sink records: each shard keeps two record buffers and alternates them
-// by window, so the buffer shard 0 reads is never the one a shard
-// writes.  Events fire in time order, so a shard's buffer arrives sorted
-// by time; the shard sorts it by (time, path) only when it is not
-// already in that order.
-// At the start of the next window shard 0 merges the S sorted runs and
-// the pending frontier and replays every record with time < T into the
-// Collector/Tracer; nothing is sorted or moved on shard 0.  At L > 0
-// every record of a window is settled by the next window.  At L == 0
-// records at exactly T stay pending, because their same-timestamp
-// cascade may continue in the next sub-round at the same T.
+// Sink records: the Collector and Tracer are fed only by the replay, in
+// the global (time, path) order.  Each shard keeps two record buffers
+// and alternates them by window, so the buffers being replayed (window
+// w-1's) are never the ones a shard writes (window w's).  Events fire in
+// time order, so a shard's buffer arrives sorted by time; the shard sorts
+// it by (time, path) only when it is not already in that order.  The
+// replay merges the S sorted runs and the pending frontier and feeds
+// every record with time < T to the sinks.  One atomic flag per window
+// picks the replaying shard, so the sinks and the frontier are touched
+// by exactly one thread per window, and barriers (B)/(C) order one
+// window's replay before the next.  Which shard replays never changes
+// what is replayed or in which order.  At L > 0 every record of a window
+// is settled by the next window.  At L == 0 records at exactly T stay
+// pending, because their same-timestamp cascade may continue in the next
+// sub-round at the same T.
+//
+// Record layout: a SinkRecord is 88 bytes — time, the 24-byte PathKey,
+// and a payload that is a TraceRecord (48 bytes, about 90 % of records),
+// the 7 fields Collector::record_simple reads (metrics::SimpleOutcome,
+// 48 bytes), or a pointer to the rare out-of-line GlobalTaskRecord.  A
+// Message is 96 bytes: time, destination lane, PathKey and the 56-byte
+// event closure.
 //
 // Safety: a message posted at time t >= T is delivered at t + L >= T + L,
 // i.e. never inside the window any shard is still executing, so no shard
@@ -66,6 +78,12 @@
 // deterministic` could manufacture such ties; the determinism contract
 // is stated for continuous service distributions.)
 //
+// Key domain: a path is a 64-bit root plus at most PathKey::kMaxDepth - 1
+// emission counters, each below 2^20 - 1 (see PathKey).  The longest
+// chain in the model is root -> notify -> PM handler -> resubmit -> node
+// handler -> emission, depth 6; a path outside the domain throws
+// std::logic_error instead of silently mis-ordering.
+//
 // Layering note: this file lives in sim/ because it is the engine's
 // parallel twin, but the deferred sink-record payloads reference
 // metrics:: and core:: record types.  That is an include-only dependency
@@ -86,6 +104,8 @@
 // (GlobalTaskRecord), see layering note above.
 // sda-lint: allow(LAYERING) payload-type-only dependency of the engine twin
 #include "src/core/process_manager.hpp"  // GlobalTaskRecord
+// sda-lint: allow(LAYERING) deferred SimpleOutcome payload, same note
+#include "src/metrics/collector.hpp"
 // sda-lint: allow(LAYERING) deferred TraceRecord payload, same note
 #include "src/metrics/trace.hpp"
 #include "src/sim/engine.hpp"
@@ -93,25 +113,43 @@
 #include "src/util/mutex.hpp"
 #include "src/util/thread_annotations.hpp"
 
-namespace sda::metrics {
-class Collector;
-}  // namespace sda::metrics
-
 namespace sda::sim {
 
 /// Hierarchical origin path: the deterministic tie-break key for
-/// same-timestamp messages and sink records (see file comment).  A fixed
-/// inline array — no heap traffic on the per-message path; depth is
-/// bounded by the longest same-timestamp synchronous cascade in the
-/// model (root -> notify -> PM handler -> resubmit -> node handler ->
-/// emission is depth 6; 12 leaves generous headroom).
-struct PathKey {
-  static constexpr int kMaxDepth = 12;
+/// same-timestamp messages and sink records (see file comment).
+///
+/// Fixed 24-byte form: the root element in full, then up to
+/// kMaxDepth - 1 emission counters of kCounterBits bits each, stored as
+/// counter + 1 (0 = absent) and packed most significant first, three to a
+/// word, into two words; the low 4 bits of the second word hold the
+/// depth.  Comparing (root, word 0, word 1) as unsigned integers is then
+/// exactly the lexicographic order over the element sequences, with a
+/// prefix before its extensions: under equal roots the first differing
+/// counter decides at the highest differing bits, an absent counter (0)
+/// sorts below every present one (>= 1), and the depth bits differ only
+/// when every counter agrees, i.e. for equal paths or the empty path.
+/// push() throws std::logic_error outside that domain.
+class PathKey {
+ public:
+  /// Root plus at most six counters; the model's deepest chain is 6.
+  static constexpr int kMaxDepth = 7;
+  static constexpr int kCounterBits = 20;
+  /// Largest emission counter push() accepts (counter + 1 must fit).
+  static constexpr std::uint64_t kMaxCounter =
+      (std::uint64_t{1} << kCounterBits) - 2;
 
-  std::array<std::uint64_t, kMaxDepth> elem{};
-  std::uint8_t depth = 0;
-
-  void push(std::uint64_t v);
+  void push(std::uint64_t v) {
+    const int d = depth();
+    if (d == 0) {
+      root_ = v;
+    } else {
+      if (d >= kMaxDepth || v > kMaxCounter) throw_out_of_domain(d, v);
+      const int j = d - 1;
+      words_[static_cast<std::size_t>(j / kPerWord)] |=
+          (v + 1) << (64 - kCounterBits * (j % kPerWord + 1));
+    }
+    ++words_[1];  // the depth, in the low bits
+  }
 
   /// Derived key for the n-th emission of the event this path names.
   PathKey child(std::uint64_t n) const {
@@ -120,14 +158,31 @@ struct PathKey {
     return k;
   }
 
-  friend bool operator<(const PathKey& a, const PathKey& b) noexcept {
-    const int n = a.depth < b.depth ? a.depth : b.depth;
-    for (int i = 0; i < n; ++i) {
-      if (a.elem[i] != b.elem[i]) return a.elem[i] < b.elem[i];
-    }
-    return a.depth < b.depth;
+  int depth() const noexcept {
+    return static_cast<int>(words_[1] & kDepthMask);
   }
+  bool empty() const noexcept { return depth() == 0; }
+
+  friend bool operator<(const PathKey& a, const PathKey& b) noexcept {
+    if (a.root_ != b.root_) return a.root_ < b.root_;
+    if (a.words_[0] != b.words_[0]) return a.words_[0] < b.words_[0];
+    return a.words_[1] < b.words_[1];
+  }
+  friend bool operator==(const PathKey&, const PathKey&) = default;
+
+ private:
+  static constexpr int kPerWord = 3;
+  static constexpr std::uint64_t kDepthMask = 0xf;
+  static_assert(kPerWord * kCounterBits + 4 <= 64, "depth bits overlap");
+  static_assert(kMaxDepth - 1 <= 2 * kPerWord && kMaxDepth <= kDepthMask,
+                "counters do not fit two words");
+
+  [[noreturn]] static void throw_out_of_domain(int depth, std::uint64_t v);
+
+  std::uint64_t root_ = 0;
+  std::array<std::uint64_t, 2> words_{};
 };
+static_assert(sizeof(PathKey) == 24);
 
 /// One cross-lane interaction: run @p fn on @p dst_lane's shard at
 /// @p deliver_at, ordered among same-time messages by @p key.
@@ -137,6 +192,7 @@ struct Message {
   PathKey key;
   EventFn fn;
 };
+static_assert(sizeof(Message) <= 96, "Message grew past 96 bytes");
 
 /// Bounded single-producer/single-consumer message buffer for one
 /// (source shard, destination shard) pair.  Not a concurrent queue: the
@@ -200,15 +256,18 @@ class NodeStatusBoard {
   std::vector<std::vector<std::pair<Time, Time>>> outages_;
 };
 
-/// Deferred metric emission: sinks live on the control shard, so lanes
-/// buffer their records and shard 0 replays the global (time, path)
-/// order between windows.
+/// Deferred metric emission: lanes buffer their records and the
+/// replaying shard feeds them to the sinks in global (time, path) order
+/// between windows.  The rare global-run record lives out of line so
+/// that the common trace and subtask records set the size.
 struct SinkRecord {
   Time time = 0.0;
   PathKey key;
-  std::variant<metrics::TraceRecord, task::SimpleTask, core::GlobalTaskRecord>
+  std::variant<metrics::TraceRecord, metrics::SimpleOutcome,
+               std::unique_ptr<const core::GlobalTaskRecord>>
       payload;
 };
+static_assert(sizeof(SinkRecord) <= 96, "SinkRecord grew past 96 bytes");
 
 /// Reusable barrier for a fixed set of threads.  A waiter spins on the
 /// generation counter with a CPU pause hint, yielding now and then, for
@@ -270,7 +329,7 @@ class Fabric {
   }
   Engine& control_engine() noexcept { return *shards_[0]->engine; }
 
-  /// Sinks replayed by shard 0 between windows; either may be null.
+  /// Sinks fed by the replay between windows; either may be null.
   void set_sinks(metrics::Collector* collector, metrics::Tracer* tracer) {
     collector_ = collector;
     tracer_ = tracer;
@@ -294,7 +353,8 @@ class Fabric {
       SDA_NO_THREAD_SAFETY_ANALYSIS;
 
   /// Defers a sink record from the event currently executing on
-  /// @p src_lane's shard (replayed in deterministic order by shard 0).
+  /// @p src_lane's shard (replayed in deterministic order by whichever
+  /// shard claims the next window's replay).
   /// Same escape hatch as post(), same reason.
   void emit_trace(int src_lane, const metrics::TraceRecord& rec)
       SDA_NO_THREAD_SAFETY_ANALYSIS;
@@ -335,8 +395,9 @@ class Fabric {
     /// Fresh-root sequence for lane-local events.
     std::uint64_t next_root = 0;
     /// Deferred sink records, one buffer per window parity: the run phase
-    /// writes records[parity] while shard 0 replays records[parity ^ 1],
-    /// the previous window's.  Each is bounded by one window's emissions.
+    /// writes records[parity] while the claiming shard replays
+    /// records[parity ^ 1], the previous window's.  Each is bounded by one
+    /// window's emissions.
     std::array<std::vector<SinkRecord>, 2> records;
     int parity = 0;
     /// Scratch for the drain phase (kept to reuse capacity).
@@ -361,14 +422,16 @@ class Fabric {
       SDA_REQUIRES(window_phase_);
   /// Inserts inbound messages into @p sh's engine in deterministic order.
   void drain_phase(int shard) SDA_REQUIRES(window_phase_);
-  /// Shard 0: merges every shard's previous-window run with the pending
-  /// frontier and replays each record with time < before into the
-  /// collector/tracer.  Records at exactly `before` join the frontier —
-  /// at zero lookahead one same-timestamp cascade spans several
-  /// sub-rounds, so a record's (time, path) position is only settled
-  /// once the window clock has moved strictly past its timestamp.
-  /// Pass +inf to flush all.
-  void replay_records(Time before) SDA_REQUIRES(window_phase_);
+  /// Merges every shard's records[prev] run with the pending frontier and
+  /// replays each record with time < before into the collector/tracer.
+  /// Records at exactly `before` join the frontier — at zero lookahead
+  /// one same-timestamp cascade spans several sub-rounds, so a record's
+  /// (time, path) position is only settled once the window clock has
+  /// moved strictly past its timestamp.  Pass +inf to flush all.  Called
+  /// by one shard per window: the replay claim's winner, or shard 0 for
+  /// the final flush.
+  void replay_records(Time before, std::size_t prev)
+      SDA_REQUIRES(window_phase_);
 
   Options opt_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -393,9 +456,13 @@ class Fabric {
   std::vector<SinkRecord> frontier_next_ SDA_GUARDED_BY(window_phase_);
   std::uint64_t messages_posted_ = 0;
   std::uint64_t windows_ SDA_GUARDED_BY(window_phase_) = 0;
-  /// First model exception from any shard; every shard checks the flag
-  /// at the next barrier and unwinds together (no thread left blocking).
-  std::atomic<bool> stop_flag_{false};
+  /// Set by the first shard that finishes its run phase in a window; that
+  /// shard replays the previous window.  Reset in the drain phase.
+  alignas(64) std::atomic<bool> replay_claimed_{false};
+  /// Set when a shard throws in the run phase ([0]) or the drain phase
+  /// ([1]); every shard checks the phase's flag at the barrier that ends
+  /// it and unwinds together (no thread left blocking).
+  std::array<std::atomic<bool>, 2> stop_{};
   util::Mutex failure_mu_;
   std::exception_ptr failure_ SDA_GUARDED_BY(failure_mu_);
 };

@@ -1,134 +1,18 @@
-// Small-buffer-optimized move-only callable for simulation events.
-//
-// Every scheduled event used to carry a std::function<void()>, whose
-// captures (a this-pointer plus a TaskPtr or two) almost always fit in a
-// few dozen bytes yet still cost a heap allocation on most standard
-// libraries once more than one pointer is captured.  InlineFn stores any
-// nothrow-movable callable of up to kBufferSize bytes directly inside the
-// object; larger or potentially-throwing-move callables fall back to a
-// single heap cell.  Move-only semantics are sufficient for the event
-// queue (events are scheduled once and fired once) and lift the
-// copyability requirement std::function imposes on captures.
+// The simulator's event closure: util::UniqueFn<void()>, a move-only
+// callable that keeps captures of up to 48 bytes inline (see
+// src/util/unique_fn.hpp).  Every scheduled event carries one, so its
+// footprint is part of the event queue's layout contract.
 #pragma once
 
-#include <cstddef>
-#include <new>
-#include <type_traits>
-#include <utility>
+#include "src/util/unique_fn.hpp"
 
 namespace sda::sim {
 
-class InlineFn {
- public:
-  /// Inline capture budget.  48 bytes holds a this-pointer plus several
-  /// shared_ptrs; together with the ops pointer an InlineFn is 56 bytes,
-  /// so an event-pool slot stays within one cache line.
-  static constexpr std::size_t kBufferSize = 48;
+using InlineFn = util::UniqueFn<void()>;
 
-  InlineFn() noexcept = default;
-  InlineFn(std::nullptr_t) noexcept {}  // NOLINT(runtime/explicit)
-
-  template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, InlineFn> &&
-                                        std::is_invocable_r_v<void, D&>>>
-  InlineFn(F&& f) {  // NOLINT(runtime/explicit)
-    construct<D>(std::forward<F>(f));
-  }
-
-  InlineFn(InlineFn&& other) noexcept { move_from(other); }
-
-  InlineFn& operator=(InlineFn&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
-    }
-    return *this;
-  }
-
-  InlineFn(const InlineFn&) = delete;
-  InlineFn& operator=(const InlineFn&) = delete;
-
-  ~InlineFn() { reset(); }
-
-  /// Invokes the stored callable. Requires *this to be non-empty.
-  void operator()() { ops_->invoke(&buf_); }
-
-  /// True when a callable is stored.
-  explicit operator bool() const noexcept { return ops_ != nullptr; }
-
-  /// Destroys the stored callable (releasing whatever its captures own)
-  /// and leaves *this empty.  No-op when already empty.
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(&buf_);
-      ops_ = nullptr;
-    }
-  }
-
-  /// True when a callable of type D would be stored inline (no allocation).
-  template <typename D>
-  static constexpr bool stores_inline() noexcept {
-    return fits_inline<std::decay_t<D>>;
-  }
-
- private:
-  struct Ops {
-    void (*invoke)(void*);
-    /// Move-constructs the payload into dst and destroys it at src.
-    void (*relocate)(void* dst, void* src) noexcept;
-    void (*destroy)(void*) noexcept;
-  };
-
-  /// Inline storage requires a nothrow move so that relocation (and thus
-  /// InlineFn's move operations) can be noexcept.
-  template <typename D>
-  static constexpr bool fits_inline =
-      sizeof(D) <= kBufferSize && alignof(D) <= alignof(std::max_align_t) &&
-      std::is_nothrow_move_constructible_v<D>;
-
-  template <typename D>
-  struct InlineOps {
-    static void invoke(void* p) { (*static_cast<D*>(p))(); }
-    static void relocate(void* dst, void* src) noexcept {
-      ::new (dst) D(std::move(*static_cast<D*>(src)));
-      static_cast<D*>(src)->~D();
-    }
-    static void destroy(void* p) noexcept { static_cast<D*>(p)->~D(); }
-    static constexpr Ops ops{&invoke, &relocate, &destroy};
-  };
-
-  template <typename D>
-  struct HeapOps {
-    static D*& ptr(void* p) noexcept { return *static_cast<D**>(p); }
-    static void invoke(void* p) { (*ptr(p))(); }
-    static void relocate(void* dst, void* src) noexcept {
-      ::new (dst) D*(ptr(src));
-    }
-    static void destroy(void* p) noexcept { delete ptr(p); }
-    static constexpr Ops ops{&invoke, &relocate, &destroy};
-  };
-
-  template <typename D, typename F>
-  void construct(F&& f) {
-    if constexpr (fits_inline<D>) {
-      ::new (static_cast<void*>(&buf_)) D(std::forward<F>(f));
-      ops_ = &InlineOps<D>::ops;
-    } else {
-      ::new (static_cast<void*>(&buf_)) D*(new D(std::forward<F>(f)));
-      ops_ = &HeapOps<D>::ops;
-    }
-  }
-
-  void move_from(InlineFn& other) noexcept {
-    if (other.ops_ != nullptr) {
-      ops_ = other.ops_;
-      ops_->relocate(&buf_, &other.buf_);
-      other.ops_ = nullptr;
-    }
-  }
-
-  alignas(std::max_align_t) std::byte buf_[kBufferSize];
-  const Ops* ops_ = nullptr;
-};
+// 48 bytes of inline captures plus the ops pointer: together with the
+// 8-byte key an event-pool slot is exactly one 64-byte cache line.
+static_assert(sizeof(InlineFn) == 56 && alignof(InlineFn) <= 8,
+              "InlineFn must stay 56 bytes so an event slot fits a cache line");
 
 }  // namespace sda::sim

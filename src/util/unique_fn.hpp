@@ -1,23 +1,20 @@
 // Small-buffer-optimized move-only callable with an arbitrary signature.
 //
-// This is sim::InlineFn's storage scheme (inline buffer for small
-// nothrow-movable captures, one heap cell as fallback, move-only
-// semantics) generalized from void() to any R(Args...).  It is the
-// owning counterpart to util::FunctionRef: use it wherever a callback is
-// *stored* — node completion/abort/failure handlers, observers, fault
-// hooks, the process manager's terminal-record handlers — and
-// FunctionRef where a callable is only borrowed for the duration of one
-// call.
+// Captures of up to kBufferSize bytes that move without throwing live in
+// an inline buffer; anything larger takes one heap cell.  Move-only
+// semantics lift the copyability requirement std::function imposes, so
+// captures may hold move-only state.  It is the owning counterpart to
+// util::FunctionRef: use it wherever a callback is *stored* — node
+// completion/abort/failure handlers, observers, fault hooks, the process
+// manager's terminal-record handlers — and FunctionRef where a callable
+// is only borrowed for the duration of one call.
 //
-// Compared to std::function it drops the copyability requirement (so
-// captures may hold move-only state) and never allocates for captures of
-// up to kBufferSize bytes, which covers every handler in this repo
-// (a this-pointer plus a couple of pointers/ints).
-//
-// sim::InlineFn stays a separate type on purpose: the event queue
-// depends on its exact 56-byte footprint to keep pool slots within one
-// cache line, and that contract is easier to see (and to protect with a
-// static_assert) in a non-generic class.
+// UniqueFn<void()> is also the simulator's event closure (sim::InlineFn,
+// sim::EventFn).  The buffer is pointer-aligned, not max_align_t-aligned,
+// so the whole object is 56 bytes and an event-pool slot (callable plus
+// an 8-byte key) is exactly one 64-byte cache line; src/sim/inline_fn.hpp
+// asserts that footprint.  A capture that needs more than pointer
+// alignment takes the heap cell.
 #pragma once
 
 #include <cstddef>
@@ -33,8 +30,8 @@ class UniqueFn;
 template <typename R, typename... Args>
 class UniqueFn<R(Args...)> {
  public:
-  /// Inline capture budget, matching sim::InlineFn::kBufferSize: enough
-  /// for a this-pointer plus several shared_ptrs.
+  /// Inline capture budget: enough for a this-pointer plus several
+  /// shared_ptrs.
   static constexpr std::size_t kBufferSize = 48;
 
   UniqueFn() noexcept = default;
@@ -97,7 +94,7 @@ class UniqueFn<R(Args...)> {
   /// UniqueFn's move operations) can be noexcept.
   template <typename D>
   static constexpr bool fits_inline =
-      sizeof(D) <= kBufferSize && alignof(D) <= alignof(std::max_align_t) &&
+      sizeof(D) <= kBufferSize && alignof(D) <= alignof(void*) &&
       std::is_nothrow_move_constructible_v<D>;
 
   template <typename D>
@@ -148,7 +145,7 @@ class UniqueFn<R(Args...)> {
     }
   }
 
-  alignas(std::max_align_t) std::byte buf_[kBufferSize];
+  alignas(void*) std::byte buf_[kBufferSize];
   const Ops* ops_ = nullptr;
 };
 

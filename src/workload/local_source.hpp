@@ -54,8 +54,8 @@ class LocalSource {
   void start();
 
   /// Redirects the PM-timer abort records away from the constructor's
-  /// collector (sharded mode: the collector lives on the control lane, so
-  /// the hook defers the record through the fabric instead).
+  /// collector (sharded mode: only the fabric's replay writes the
+  /// collector, so the hook defers the record through the fabric instead).
   void set_record_hook(util::UniqueFn<void(const task::SimpleTask&)> hook) {
     record_hook_ = std::move(hook);
   }

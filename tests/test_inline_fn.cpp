@@ -1,11 +1,14 @@
-// InlineFn: the small-buffer-optimized move-only callable behind EventFn.
+// InlineFn: the small-buffer-optimized move-only callable behind EventFn,
+// an alias of util::UniqueFn<void()>.
 #include "src/sim/inline_fn.hpp"
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 namespace sda::sim {
@@ -110,6 +113,26 @@ TEST(InlineFn, MovedLargeCaptureInvokesAtNewHome) {
   InlineFn b(std::move(a));
   b();
   EXPECT_DOUBLE_EQ(sink, 3.25);
+}
+
+TEST(InlineFn, IsTheVoidUniqueFnAndFillsOneSlot) {
+  static_assert(std::is_same_v<InlineFn, util::UniqueFn<void()>>);
+  // 48 inline bytes + the ops pointer; the event slot adds an 8-byte key.
+  EXPECT_EQ(sizeof(InlineFn), 56u);
+}
+
+TEST(InlineFn, OverAlignedCaptureFallsBackToHeap) {
+  struct alignas(16) Wide {
+    std::int64_t v[2];
+  };
+  const Wide w{{3, 4}};
+  std::int64_t sink = 0;
+  auto lambda = [w, &sink] { sink = w.v[0] + w.v[1]; };
+  EXPECT_FALSE(InlineFn::stores_inline<decltype(lambda)>());
+  InlineFn a(std::move(lambda));
+  InlineFn b(std::move(a));
+  b();
+  EXPECT_EQ(sink, 7);
 }
 
 }  // namespace

@@ -11,7 +11,10 @@
 // multiplies runtime ~10x.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "src/exp/runner.hpp"
 #include "src/metrics/trace.hpp"
 #include "src/sim/fabric.hpp"
+#include "src/util/rng.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace {
@@ -206,37 +210,93 @@ TEST(PdesDeterminism, RunExperimentMatchesSerialReport) {
             sharded.overall_missed_work().mean);  // sda-lint: allow(FLOAT_EQ)
 }
 
-// At positive lookahead every record of a window is settled when the
-// next window starts, so shard 0 replays the merged per-shard runs with
-// no pending frontier; shards=1 is the one-worker message-mode reference.
-TEST(PdesDeterminism, RunExperimentMatchesSerialReportAtPositiveLookahead) {
-  ExperimentConfig c = pdes_base();
+/// Everything a replication's Collector counts for one class.
+struct ClassTotals {
+  std::uint64_t finished = 0;
+  std::uint64_t missed = 0;
+  std::uint64_t aborted = 0;
+  double work_total = 0.0;
+  double work_missed = 0.0;
+  bool operator==(const ClassTotals&) const = default;
+};
+
+std::map<int, ClassTotals> class_totals(const metrics::Collector& col) {
+  std::map<int, ClassTotals> out;
+  for (const int cls : col.classes()) {
+    const metrics::ClassCounts k = col.counts(cls);
+    out[cls] = {k.finished, k.missed, k.aborted, k.work_total, k.work_missed};
+  }
+  return out;
+}
+
+/// run_experiment at every shard count against shards=1: equal
+/// fingerprints, equal per-class finished/missed/aborted counts and work
+/// sums in every replication (the replay feeds each record to the
+/// Collector in the same order, so the sums agree bit for bit), and equal
+/// report aggregates.
+void expect_report_matches_serial(ExperimentConfig c,
+                                  const std::vector<int>& shard_counts,
+                                  const std::string& label) {
   c.replications = 2;
-  c.net_latency = 0.5;
   util::ThreadPool pool(2);
+  auto per_replication = [&c] {
+    std::vector<std::map<int, ClassTotals>> out;
+    for (int rep = 0; rep < c.replications; ++rep) {
+      const exp::RunResult r =
+          exp::run_once(c, exp::replication_seed(c.seed, rep), nullptr);
+      out.push_back(class_totals(r.collector));
+    }
+    return out;
+  };
 
   std::vector<std::uint64_t> serial_fps;
   c.shards = 1;
   const metrics::Report serial = exp::run_experiment(c, pool, &serial_fps);
+  const auto serial_totals = per_replication();
+  ASSERT_EQ(serial_fps.size(), 2u) << label;
+  ASSERT_FALSE(serial.classes().empty()) << label;
 
-  std::vector<std::uint64_t> sharded_fps;
-  c.shards = 4;
-  const metrics::Report sharded = exp::run_experiment(c, pool, &sharded_fps);
-
-  ASSERT_EQ(serial_fps.size(), 2u);
-  EXPECT_EQ(serial_fps, sharded_fps);
-  EXPECT_EQ(serial.overall_missed_work().mean,
-            sharded.overall_missed_work().mean);  // sda-lint: allow(FLOAT_EQ)
-  ASSERT_EQ(serial.classes(), sharded.classes());
-  ASSERT_FALSE(serial.classes().empty());
-  for (const int cls : serial.classes()) {
-    const metrics::ClassSummary a = serial.summary(cls);
-    const metrics::ClassSummary b = sharded.summary(cls);
-    EXPECT_GT(a.finished_total, 0u) << "class " << cls;
-    EXPECT_EQ(a.finished_total, b.finished_total) << "class " << cls;
-    EXPECT_EQ(a.miss_rate.mean, b.miss_rate.mean)  // sda-lint: allow(FLOAT_EQ)
-        << "class " << cls;
+  for (const int shards : shard_counts) {
+    std::vector<std::uint64_t> sharded_fps;
+    c.shards = shards;
+    const metrics::Report sharded = exp::run_experiment(c, pool, &sharded_fps);
+    EXPECT_EQ(serial_fps, sharded_fps) << label << " shards=" << shards;
+    EXPECT_EQ(per_replication(), serial_totals)
+        << label << " shards=" << shards;
+    EXPECT_EQ(serial.overall_missed_work().mean,
+              sharded.overall_missed_work().mean)  // sda-lint: allow(FLOAT_EQ)
+        << label << " shards=" << shards;
+    ASSERT_EQ(serial.classes(), sharded.classes()) << label;
+    for (const int cls : serial.classes()) {
+      const metrics::ClassSummary a = serial.summary(cls);
+      const metrics::ClassSummary b = sharded.summary(cls);
+      EXPECT_GT(a.finished_total, 0u) << label << " class " << cls;
+      EXPECT_EQ(a.finished_total, b.finished_total)
+          << label << " shards=" << shards << " class " << cls;
+      EXPECT_EQ(a.miss_rate.mean, b.miss_rate.mean)  // sda-lint: allow(FLOAT_EQ)
+          << label << " shards=" << shards << " class " << cls;
+    }
   }
+}
+
+// At positive lookahead every record of a window is settled when the
+// next window starts, so the replay merges the per-shard runs with no
+// pending frontier; shards=1 is the one-worker message-mode reference.
+// Whichever shard finishes its run phase first replays, so uneven lane
+// splits (3 shards over 8 lanes) and more shards than CPUs (8) move the
+// replay between threads from window to window.
+TEST(PdesDeterminism, RunExperimentMatchesSerialReportAtPositiveLookahead) {
+  ExperimentConfig c = pdes_base();
+  c.net_latency = 0.5;
+  expect_report_matches_serial(c, {2, 3, 4, 8}, "parallel");
+
+  ExperimentConfig g = exp::graph_config();
+  g.k = 6;
+  g.link_count = 2;  // 8 lanes total
+  g.sim_time = 300.0;
+  g.net_latency = 0.5;
+  g.pm_abort = core::PmAbortMode::kRealDeadline;
+  expect_report_matches_serial(g, {2, 3, 4, 8}, "graph pm_abort=real-deadline");
 }
 
 // --- fabric building blocks ------------------------------------------------
@@ -259,7 +319,107 @@ TEST(PathKey, LexicographicOrderIsDepthFirst) {
 TEST(PathKey, PushBeyondMaxDepthThrows) {
   sim::PathKey k;
   for (int i = 0; i < sim::PathKey::kMaxDepth; ++i) k.push(1);
+  EXPECT_EQ(k.depth(), sim::PathKey::kMaxDepth);
+  const sim::PathKey full = k;
   EXPECT_THROW(k.push(1), std::logic_error);
+  EXPECT_THROW(k.push(0), std::logic_error);
+  EXPECT_EQ(k, full);  // a rejected push leaves the key as it was
+}
+
+TEST(PathKey, CounterAboveDomainThrows) {
+  sim::PathKey k;
+  k.push(~std::uint64_t{0});  // the root takes any 64-bit value
+  k.push(sim::PathKey::kMaxCounter);
+  EXPECT_EQ(k.depth(), 2);
+  const sim::PathKey at_limit = k;
+  EXPECT_THROW(k.push(sim::PathKey::kMaxCounter + 1), std::logic_error);
+  EXPECT_THROW(k.push(~std::uint64_t{0}), std::logic_error);
+  EXPECT_EQ(k, at_limit);
+  // At the limit the packing still orders siblings, and a child's nested
+  // emissions before its next sibling.
+  sim::PathKey root;
+  root.push(~std::uint64_t{0});
+  EXPECT_LT(root.child(sim::PathKey::kMaxCounter - 1),
+            root.child(sim::PathKey::kMaxCounter));
+  EXPECT_LT(root.child(sim::PathKey::kMaxCounter - 1).child(
+                sim::PathKey::kMaxCounter),
+            root.child(sim::PathKey::kMaxCounter));
+}
+
+// --- compact key order against the uncompressed reference ---------------
+
+using Path = std::vector<std::uint64_t>;
+
+sim::PathKey key_of(const Path& p) {
+  sim::PathKey k;
+  for (const std::uint64_t v : p) k.push(v);
+  return k;
+}
+
+/// The order the compact key must reproduce: element-wise lexicographic,
+/// a prefix before its extensions (what the 104-byte key compared).
+bool reference_less(const Path& a, const Path& b) {
+  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+}
+
+/// A random path inside the key domain.  Small value ranges make equal
+/// elements (and so long common prefixes) common; the boundary values
+/// exercise the packing's top and bottom bits.
+Path random_path(util::Rng& rng, int min_depth) {
+  const int depth =
+      static_cast<int>(rng.uniform_int(min_depth, sim::PathKey::kMaxDepth));
+  Path p;
+  if (depth == 0) return p;
+  constexpr std::uint64_t kRoots[] = {0, 1, 2, std::uint64_t{1} << 44,
+                                      ~std::uint64_t{0}};
+  p.push_back(rng.bernoulli(0.5)
+                  ? kRoots[rng.uniform_int(0, 4)]
+                  : static_cast<std::uint64_t>(rng.uniform_int(0, 3)));
+  while (static_cast<int>(p.size()) < depth) {
+    const double u = rng.uniform01();
+    p.push_back(u < 0.8   ? static_cast<std::uint64_t>(rng.uniform_int(0, 3))
+                : u < 0.9 ? sim::PathKey::kMaxCounter
+                          : static_cast<std::uint64_t>(rng.uniform_int(
+                                0, static_cast<std::int64_t>(
+                                       sim::PathKey::kMaxCounter))));
+  }
+  return p;
+}
+
+void expect_same_order(const Path& a, const Path& b) {
+  const sim::PathKey ka = key_of(a);
+  const sim::PathKey kb = key_of(b);
+  ASSERT_EQ(ka < kb, reference_less(a, b)) << ::testing::PrintToString(a)
+                                           << " vs "
+                                           << ::testing::PrintToString(b);
+  ASSERT_EQ(kb < ka, reference_less(b, a)) << ::testing::PrintToString(a)
+                                           << " vs "
+                                           << ::testing::PrintToString(b);
+  ASSERT_EQ(ka == kb, a == b);
+  ASSERT_EQ(ka.depth(), static_cast<int>(a.size()));
+}
+
+TEST(PathKey, CompactOrderMatchesLexicographicReference) {
+  util::Rng rng(20260516);
+  for (int i = 0; i < 20000; ++i) {
+    const Path a = random_path(rng, 0);
+    // Independent paths, a path against one of its prefixes, and a path
+    // equal to `a` up to that prefix's length that then takes another
+    // random path's elements (so it diverges, extends or stops short).
+    const Path b = random_path(rng, 0);
+    const Path prefix(
+        a.begin(),
+        a.begin() + rng.uniform_int(0, static_cast<std::int64_t>(a.size())));
+    Path shared = prefix;
+    const Path other = random_path(rng, 0);
+    for (std::size_t j = shared.size(); j < other.size(); ++j) {
+      shared.push_back(other[j]);
+    }
+    expect_same_order(a, b);
+    expect_same_order(a, prefix);
+    expect_same_order(a, shared);
+    expect_same_order(a, a);
+  }
 }
 
 TEST(CrossShardQueue, PreservesPushOrderAcrossRingAndSpill) {
@@ -343,6 +503,31 @@ TEST(Fabric, ShardMapAndStats) {
   EXPECT_EQ(&fabric.engine_for_lane(8), &fabric.control_engine());
   EXPECT_EQ(fabric.events_fired(), 0u);
   EXPECT_EQ(fabric.events_pending(), 0u);
+}
+
+// A model exception on one shard must unwind every shard and reach the
+// caller.  The throwing event is the first of its window, so the shard
+// throws right after barrier (C) while its peers may still be waking
+// from it: with one stop flag for both phases a slow peer saw the new
+// exception at the old barrier, left the loop, and the rest waited at
+// barrier (B) for it forever.  8 shards park at every barrier on hosts
+// with fewer than 8 CPUs, which widens the wake-up gap.
+TEST(Fabric, ModelExceptionUnwindsEveryShard) {
+  for (int trial = 0; trial < 100; ++trial) {
+    sim::Fabric::Options fo;
+    fo.lanes = 8;
+    fo.shards = 8;
+    fo.latency = 1.0;
+    sim::Fabric fabric(fo);
+    for (int lane = 0; lane < fo.lanes; ++lane) {
+      sim::Engine& e = fabric.engine_for_lane(lane);
+      for (int t = 0; t < 40; ++t) e.at(static_cast<double>(t), [] {});
+    }
+    fabric.engine_for_lane(trial % fo.lanes).at(20.0, [] {
+      throw std::runtime_error("model fault");
+    });
+    EXPECT_THROW(fabric.run(100.0), std::runtime_error) << "trial " << trial;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace {
 
 using namespace sda::exp;
@@ -110,6 +112,20 @@ TEST(Validate, LinkCountIgnoredForParallelKind) {
   ExperimentConfig c = baseline_config();  // kParallel
   c.link_count = -5;                       // only meaningful for kGraph
   EXPECT_TRUE(c.validate().empty());
+}
+
+TEST(Validate, WarnsAboutShardingOnlyAtZeroLookahead) {
+  ExperimentConfig c = baseline_config();
+  EXPECT_TRUE(c.warnings().empty());  // shards=1, net_latency=0
+  c.shards = 2;
+  ASSERT_EQ(c.warnings().size(), 1u);
+  EXPECT_NE(c.warnings()[0].find("shards=2 with net_latency=0"),
+            std::string::npos);
+  EXPECT_TRUE(c.validate().empty());  // a warning, not a problem
+  c.net_latency = 0.5;
+  EXPECT_TRUE(c.warnings().empty());
+  c.shards = 1;
+  EXPECT_TRUE(c.warnings().empty());
 }
 
 }  // namespace

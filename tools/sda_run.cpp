@@ -408,6 +408,10 @@ int main(int argc, char** argv) {
     return r.errors == 0 ? 0 : 65;
   }
 
+  for (const std::string& w : config.warnings()) {
+    std::fprintf(stderr, "warning: %s\n", w.c_str());
+  }
+
   std::ofstream json_file;
   std::ostream* json_os = nullptr;
   if (!json_path.empty()) {
